@@ -67,7 +67,7 @@ pub struct ApiServer<S: StoreBackend = ObjectStore> {
     /// over independently locked shards so concurrent requests do not
     /// serialize on one audit mutex; `audit_log()` merges them back into
     /// chronological order.
-    audit: Vec<Mutex<Vec<AuditEvent>>>,
+    audit: Vec<Mutex<AuditShard>>,
     audit_seq: AtomicU64,
     oracle: VulnerabilityOracle,
     exploits: Mutex<Vec<ExploitEvent>>,
@@ -87,6 +87,80 @@ pub struct ApiServer<S: StoreBackend = ObjectStore> {
 
 /// Number of audit shards (matches the store's write-parallelism scale).
 const AUDIT_SHARDS: usize = 8;
+
+/// One shard of the audit buffer. Recording an event copies its strings into
+/// the shard's text buffer rather than into three allocations of their own,
+/// so the log costs no allocation per request and millions of buffered
+/// events do not leave millions of small heap blocks behind.
+#[derive(Debug, Default)]
+struct AuditShard {
+    records: Vec<AuditRecord>,
+    /// Every record's user, namespace and name, back to back.
+    text: String,
+}
+
+/// An [`AuditEvent`] whose strings live in its shard's text buffer.
+#[derive(Debug)]
+struct AuditRecord {
+    sequence: u64,
+    verb: Verb,
+    kind: ResourceKind,
+    allowed: bool,
+    /// Byte offsets in the shard's text of the end of the user, the end of
+    /// the namespace and the end of the name; the user starts where the
+    /// previous record's name ends.
+    ends: [usize; 3],
+    request_body: Option<Arc<Value>>,
+}
+
+impl AuditShard {
+    fn push(
+        &mut self,
+        sequence: u64,
+        request: &ApiRequest,
+        allowed: bool,
+        body: Option<Arc<Value>>,
+    ) {
+        let mut ends = [0; 3];
+        for (end, part) in ends
+            .iter_mut()
+            .zip([&request.user, &request.namespace, &request.name])
+        {
+            self.text.push_str(part);
+            *end = self.text.len();
+        }
+        self.records.push(AuditRecord {
+            sequence,
+            verb: request.verb,
+            kind: request.kind,
+            allowed,
+            ends,
+            request_body: body,
+        });
+    }
+
+    fn events(&self) -> impl Iterator<Item = AuditEvent> + '_ {
+        let starts = std::iter::once(0).chain(self.records.iter().map(|r| r.ends[2]));
+        self.records.iter().zip(starts).map(|(record, start)| {
+            let [user, namespace, name] = record.ends;
+            AuditEvent {
+                sequence: record.sequence,
+                user: self.text[start..user].to_owned(),
+                verb: record.verb,
+                kind: record.kind,
+                namespace: self.text[user..namespace].to_owned(),
+                name: self.text[namespace..name].to_owned(),
+                allowed: record.allowed,
+                request_body: record.request_body.clone(),
+            }
+        })
+    }
+
+    fn clear(&mut self) {
+        self.records.clear();
+        self.text.clear();
+    }
+}
 
 impl Default for ApiServer {
     fn default() -> Self {
@@ -137,7 +211,9 @@ impl<S: StoreBackend> ApiServer<S> {
         ApiServer {
             store,
             rbac: RwLock::new(None),
-            audit: (0..AUDIT_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            audit: (0..AUDIT_SHARDS)
+                .map(|_| Mutex::new(AuditShard::default()))
+                .collect(),
             audit_seq: AtomicU64::new(0),
             oracle: VulnerabilityOracle::new(),
             exploits: Mutex::new(Vec::new()),
@@ -237,11 +313,10 @@ impl<S: StoreBackend> ApiServer<S> {
 
     /// Snapshot of the audit log, merged across shards in admission order.
     pub fn audit_log(&self) -> AuditLog {
-        let mut events: Vec<AuditEvent> = self
-            .audit
-            .iter()
-            .flat_map(|shard| shard.lock().clone())
-            .collect();
+        let mut events = Vec::new();
+        for shard in &self.audit {
+            events.extend(shard.lock().events());
+        }
         events.sort_unstable_by_key(|event| event.sequence);
         AuditLog::from_events(events)
     }
@@ -297,22 +372,11 @@ impl<S: StoreBackend> ApiServer<S> {
     }
 
     fn record_audit(&self, request: &ApiRequest, allowed: bool, body: Option<Arc<Value>>) {
-        // Build the event — the body is an `Arc` handle, not a deep clone —
-        // before taking any lock, then push it into one of the shards.
+        // The body is an `Arc` handle, not a deep clone.
         let sequence = self.audit_seq.fetch_add(1, Ordering::Relaxed);
-        let event = AuditEvent {
-            sequence,
-            user: request.user.clone(),
-            verb: request.verb,
-            kind: request.kind,
-            namespace: request.namespace.clone(),
-            name: request.name.clone(),
-            allowed,
-            request_body: body,
-        };
         self.audit[(sequence as usize) % AUDIT_SHARDS]
             .lock()
-            .push(event);
+            .push(sequence, request, allowed, body);
     }
 
     fn admit_object(
@@ -760,6 +824,49 @@ mod tests {
         assert_eq!(server.store().len(), 0);
         // The denial shows up in the audit log.
         assert_eq!(server.audit_log().denied().len(), 1);
+    }
+
+    #[test]
+    fn audit_log_returns_every_request_as_recorded() {
+        let server = ApiServer::new().with_admin("admin");
+        server.set_rbac_policy(Some(RbacPolicySet::new()));
+        let requests = [
+            ApiRequest::list("admin", ResourceKind::Pod, "default"),
+            ApiRequest::get("mallory", ResourceKind::Secret, "prod", "db"),
+            ApiRequest::list("admin", ResourceKind::IngressClass, ""),
+            ApiRequest::list("mallory", ResourceKind::ConfigMap, ""),
+        ];
+        let expect = |log: &AuditLog, first_sequence: u64| {
+            assert_eq!(log.len(), 2 * requests.len());
+            for ((event, request), sequence) in log
+                .events()
+                .iter()
+                .zip(requests.iter().cycle())
+                .zip(first_sequence..)
+            {
+                assert_eq!(event.sequence, sequence);
+                assert_eq!(
+                    (event.user.as_str(), event.verb, event.kind),
+                    (request.user.as_str(), request.verb, request.kind)
+                );
+                assert_eq!(
+                    (event.namespace.as_str(), event.name.as_str()),
+                    (request.namespace.as_str(), request.name.as_str())
+                );
+                assert_eq!(event.allowed, request.user == "admin");
+            }
+        };
+        for request in requests.iter().chain(&requests) {
+            server.handle(request);
+        }
+        expect(&server.audit_log(), 0);
+        // Clearing empties every shard; later events keep counting.
+        server.clear_audit_log();
+        assert!(server.audit_log().is_empty());
+        for request in requests.iter().chain(&requests) {
+            server.handle(request);
+        }
+        expect(&server.audit_log(), 2 * requests.len() as u64);
     }
 
     #[test]

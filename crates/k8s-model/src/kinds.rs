@@ -132,7 +132,17 @@ impl ResourceKind {
     /// The group/version/kind served by the (simulated) API server for this
     /// resource kind.
     pub fn gvk(&self) -> GroupVersionKind {
-        let (group, version) = match self {
+        let (group, version) = self.group_version();
+        GroupVersionKind::new(group, version, self.as_str())
+    }
+
+    /// The API group (empty string for the core group), as used by RBAC rules.
+    pub fn api_group(&self) -> &'static str {
+        self.group_version().0
+    }
+
+    fn group_version(&self) -> (&'static str, &'static str) {
+        match self {
             ResourceKind::Deployment | ResourceKind::StatefulSet => ("apps", "v1"),
             ResourceKind::Pod
             | ResourceKind::Service
@@ -151,13 +161,7 @@ impl ResourceKind {
             | ResourceKind::RoleBinding
             | ResourceKind::ClusterRole
             | ResourceKind::ClusterRoleBinding => ("rbac.authorization.k8s.io", "v1"),
-        };
-        GroupVersionKind::new(group, version, self.as_str())
-    }
-
-    /// The API group (empty string for the core group), as used by RBAC rules.
-    pub fn api_group(&self) -> String {
-        self.gvk().group
+        }
     }
 
     /// Whether objects of this kind live in a namespace.

@@ -47,7 +47,7 @@ impl PolicyRule {
     /// A rule allowing the given verbs on one resource kind.
     pub fn for_kind(kind: ResourceKind, verbs: impl IntoIterator<Item = Verb>) -> Self {
         PolicyRule {
-            api_groups: vec![kind.api_group()],
+            api_groups: vec![kind.api_group().to_owned()],
             resources: vec![kind.plural().to_owned()],
             verbs: verbs.into_iter().map(|v| v.as_str().to_owned()).collect(),
             resource_names: Vec::new(),
@@ -189,6 +189,9 @@ pub enum SubjectKind {
     ServiceAccount,
 }
 
+/// The user-name prefix of every ServiceAccount identity.
+const SERVICE_ACCOUNT_PREFIX: &str = "system:serviceaccount:";
+
 /// A subject granted a role by a binding.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Subject {
@@ -224,8 +227,22 @@ impl Subject {
     pub fn matches_user(&self, user: &str) -> bool {
         match self.kind {
             SubjectKind::User | SubjectKind::Group => self.name == user,
+            SubjectKind::ServiceAccount => user
+                .strip_prefix(SERVICE_ACCOUNT_PREFIX)
+                .and_then(|rest| rest.strip_prefix(self.namespace.as_str()))
+                .and_then(|rest| rest.strip_prefix(':'))
+                .is_some_and(|name| name == self.name),
+        }
+    }
+
+    /// The one authenticated user name this subject matches: the name itself
+    /// for users and groups, `system:serviceaccount:<ns>:<name>` for service
+    /// accounts.
+    pub(crate) fn user_name(&self) -> String {
+        match self.kind {
+            SubjectKind::User | SubjectKind::Group => self.name.clone(),
             SubjectKind::ServiceAccount => {
-                user == format!("system:serviceaccount:{}:{}", self.namespace, self.name)
+                format!("{SERVICE_ACCOUNT_PREFIX}{}:{}", self.namespace, self.name)
             }
         }
     }
@@ -355,6 +372,48 @@ mod tests {
         let sa = Subject::service_account("operator", "prod");
         assert!(sa.matches_user("system:serviceaccount:prod:operator"));
         assert!(!sa.matches_user("operator"));
+    }
+
+    #[test]
+    fn service_account_matching_is_exact() {
+        let sa = Subject::service_account("operator", "prod");
+        // Wrong or missing prefix.
+        assert!(!sa.matches_user("system:serviceaccounts:prod:operator"));
+        assert!(!sa.matches_user("System:serviceaccount:prod:operator"));
+        assert!(!sa.matches_user("prod:operator"));
+        // A user that is a prefix of the expected string, or extends it.
+        assert!(!sa.matches_user("system:serviceaccount:prod:oper"));
+        assert!(!sa.matches_user("system:serviceaccount:prod:"));
+        assert!(!sa.matches_user("system:serviceaccount:prod"));
+        assert!(!sa.matches_user("system:serviceaccount:"));
+        assert!(!sa.matches_user("system:serviceaccount:prod:operator2"));
+        assert!(!sa.matches_user("system:serviceaccount:prod:operator:x"));
+        // An empty namespace still needs its separator.
+        let no_ns = Subject::service_account("operator", "");
+        assert!(no_ns.matches_user("system:serviceaccount::operator"));
+        assert!(!no_ns.matches_user("system:serviceaccount:operator"));
+        // A name containing `:` is compared as a whole, so two subjects
+        // that render the same string both match it.
+        let colon = Subject::service_account("a:b", "prod");
+        assert!(colon.matches_user("system:serviceaccount:prod:a:b"));
+        assert!(!colon.matches_user("system:serviceaccount:prod:a"));
+        let shifted = Subject::service_account("b", "prod:a");
+        assert!(shifted.matches_user("system:serviceaccount:prod:a:b"));
+        // The matcher agrees with the rendered user name on every case.
+        for subject in [&sa, &no_ns, &colon, &shifted] {
+            assert!(subject.matches_user(&subject.user_name()));
+            for user in [
+                "",
+                "operator",
+                "system:serviceaccount:",
+                "system:serviceaccount::",
+                "system:serviceaccount:prod:a:b",
+                "system:serviceaccount::operator",
+                "system:serviceaccount:prod:operator",
+            ] {
+                assert_eq!(subject.matches_user(user), subject.user_name() == user);
+            }
+        }
     }
 
     #[test]

@@ -40,15 +40,10 @@ fn learned_policies_admit_the_recorded_workload() {
 fn learned_policies_deny_unused_kinds_and_foreign_users() {
     let operator = Operator::Nginx;
     let policy = learned_policy(operator);
+    let user = operator.user();
     // Nginx never touches Secrets or Pods.
     for kind in [ResourceKind::Secret, ResourceKind::Pod] {
-        let review = AccessReview::new(
-            &operator.user(),
-            Verb::Create,
-            kind,
-            operator.namespace(),
-            "",
-        );
+        let review = AccessReview::new(&user, Verb::Create, kind, operator.namespace(), "");
         assert!(
             !policy.authorize(&review).is_allowed(),
             "{kind} should be denied"
