@@ -40,7 +40,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use k8s_apiserver::persist::{FsyncPolicy, PersistConfig, Persistence};
-use k8s_apiserver::{ObjectStore, StoreBackend};
+use k8s_apiserver::{ObjectStore, RealIo, StoreBackend};
 use k8s_model::K8sObject;
 use kf_bench::{bench_tolerance, smoke_mode, BenchArtifact, CurvePoint, ScalingCurve};
 use kf_workloads::Operator;
@@ -192,9 +192,9 @@ fn measure_policy() -> (CurvePoint, CurvePoint) {
     let recompile = start.elapsed();
 
     let path = std::env::temp_dir().join(format!("kf-coldstart-aot-{}.kfaot", std::process::id()));
-    kubefence::save_validator_set(&path, &set).expect("AOT cache saves");
+    kubefence::save_validator_set(&RealIo, &path, &set).expect("AOT cache saves");
     let start = Instant::now();
-    let loaded = kubefence::load_validator_set(&path)
+    let loaded = kubefence::load_validator_set(&RealIo, &path)
         .expect("AOT cache loads")
         .expect("AOT cache present");
     let aot = start.elapsed();

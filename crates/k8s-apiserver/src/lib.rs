@@ -62,9 +62,8 @@ pub use health::{AdmissionGate, AdmissionPermit, DegradePolicy, HealthReport, Sh
 pub use latency::{LatencyModel, LatencyProfile};
 pub use persist::{
     segment_file, CheckpointReport, DurabilityState, DurabilityStatus, DurabilityTransition,
-    FsyncPolicy, GroupTicket, LatchedError, ManifestData, ManifestEntry, PersistConfig,
-    Persistence, RecoveryReport, RetryPolicy, SegmentData, StorageErrorKind, TornTail, Wal,
-    WalRecord, MANIFEST_FILE, MANIFEST_PREV_FILE,
+    FsyncPolicy, GroupTicket, LatchedError, PersistConfig, Persistence, RecoveryReport,
+    RetryPolicy, StorageErrorKind, TornTail, Wal, WalRecord, MANIFEST_FILE, MANIFEST_PREV_FILE,
 };
 pub use request::{ApiRequest, ApiResponse, RequestBody, ResponseBody, ResponseStatus};
 pub use server::{ApiServer, ExploitEvent, PushWatch, RequestHandler, WatchHub};

@@ -1,15 +1,15 @@
-//! The durable persistence plane: snapshots + the journal-as-WAL.
+//! The durable persistence plane: snapshot segments + the journal-as-WAL.
 //!
 //! Everything the store holds lives in memory; this module makes a restart
-//! survivable. Two artifacts, both hand-framed over `kf_yaml::binary` (the
+//! survivable. Three artifacts, all hand-framed over `kf_yaml::binary` (the
 //! workspace `serde` is a no-op shim, so there is no derived format to lean
 //! on):
 //!
-//! * **Snapshot** (`store.kfsnap`) — a one-shot dump of every
-//!   `Arc<StoredObject>` handle: magic, CRC-32 seal, then
-//!   `(resource_version, body)` per object. Written to a temp file and
-//!   atomically renamed, so a crash mid-checkpoint never leaves a partial
-//!   snapshot visible.
+//! * **Snapshot segments** (`store.seg-NN.kfsnap`) — one per store shard,
+//!   holding that shard's `Arc<StoredObject>` handles as
+//!   `(resource_version, body)` at a checkpoint horizon.
+//! * **Manifest** (`store.kfmanifest`, rotated to `.prev`) — the commit
+//!   point of a checkpoint: its horizon and the live segments.
 //! * **Write-ahead log** (`store.kfwal`) — the promotion of the watch
 //!   journal's publication stream to disk: every store write appends one
 //!   framed [`WalRecord`] (length + CRC-32 + payload) **while the written
@@ -17,11 +17,14 @@
 //!   write order exactly as the journal does. The fsync cadence is a
 //!   [`FsyncPolicy`].
 //!
-//! All file traffic goes through a [`StorageIo`] seam, so tests and the
-//! chaos workload can run the identical code over a
+//! Segments and manifests are sealed files
+//! ([`crate::storage_io::write_sealed`]: magic, CRC-32 seal, tmp → fsync →
+//! rename → directory fsync), so a crash mid-checkpoint never leaves a
+//! partial artifact visible. All file traffic goes through a [`StorageIo`]
+//! seam, so tests and the chaos workload can run the identical code over a
 //! [`crate::storage_io::FaultyIo`] with deterministic fault schedules.
 //!
-//! **Recovery** ([`Persistence::open`]) loads the snapshot, replays the WAL
+//! **Recovery** ([`Persistence::open`]) loads the segments, replays the WAL
 //! suffix, seeds the store at the recovered revision and seals every watch
 //! journal's compaction horizon there — a watcher resuming with a pre-crash
 //! cursor below the horizon gets the same `410 Gone` → re-list contract that
@@ -30,8 +33,8 @@
 //! (`record.revision > stored.resource_version`), so overlapping
 //! snapshot/WAL windows are idempotent and replay order only matters per
 //! key — which per-key order the shard-lock append discipline guarantees.
-//! A corrupt snapshot is **quarantined** (renamed to `.corrupt`) and boot
-//! falls back to a full-WAL replay instead of refusing to start.
+//! A corrupt segment or manifest is **quarantined** (renamed to `.corrupt`)
+//! and boot recovers from what remains instead of refusing to start.
 //!
 //! **The recovery invariant:** after `open`, the store state equals the
 //! pre-crash state at the last fsync'd revision ([`Wal::durable_revision`]).
@@ -55,9 +58,10 @@
 //! size of the at-risk window. How the serving path reacts is the server's
 //! [`crate::DegradePolicy`]. See `docs/robustness.md`.
 //!
-//! **Compaction** ([`Persistence::checkpoint`]) snapshots at the current
-//! revision horizon and rewrites the WAL keeping only records above it —
-//! the same horizon discipline the in-memory journals apply per sub-shard,
+//! **Compaction** ([`Persistence::checkpoint`]) rewrites the dirty shards'
+//! segments at the current revision horizon, publishes a manifest over
+//! them, and rewrites the WAL keeping only records above the horizon — the
+//! same horizon discipline the in-memory journals apply per sub-shard,
 //! extended to disk, with bounded retry around the whole attempt.
 //! See `docs/persistence.md` for the byte layouts.
 
@@ -73,12 +77,10 @@ use k8s_model::{K8sObject, ResourceKind};
 use kf_yaml::binary::{self, Cursor};
 use kf_yaml::Value;
 
-use crate::storage_io::{RealIo, StorageFile, StorageIo};
+use crate::storage_io::{publish, read_sealed, write_sealed, RealIo, StorageFile, StorageIo};
 use crate::store::{ObjectStore, StoreBackend, StoredObject};
 use crate::watch::WatchEventKind;
 
-/// Snapshot file name inside a persistence directory.
-pub const SNAPSHOT_FILE: &str = "store.kfsnap";
 /// Write-ahead-log file name inside a persistence directory.
 pub const WAL_FILE: &str = "store.kfwal";
 /// AOT-compiled validator arena file name (written by the policy plane —
@@ -86,8 +88,6 @@ pub const WAL_FILE: &str = "store.kfwal";
 /// layout is defined in one place).
 pub const AOT_ARENA_FILE: &str = "validators.kfaot";
 
-/// Magic sealing a snapshot file (8 bytes, versioned).
-const SNAPSHOT_MAGIC: &[u8; 8] = b"KFSNAP1\0";
 /// Magic sealing a per-shard snapshot segment file.
 const SEGMENT_MAGIC: &[u8; 8] = b"KFSEG1\0\0";
 /// Magic sealing a snapshot manifest file.
@@ -1344,10 +1344,7 @@ impl Wal {
                 retained += 1;
             }
         }
-        let tmp = path.with_extension("kfwal.tmp");
-        self.io.write_file(&tmp, &buf)?;
-        self.io.rename(&tmp, path)?;
-        self.io.sync_parent_dir(path);
+        publish(&*self.io, path, &buf, None)?;
         inner.good_len = buf.len() as u64;
         match self.io.open_append(path) {
             Ok(file) => {
@@ -1368,303 +1365,134 @@ impl Wal {
     }
 }
 
-/// A decoded snapshot: the revision horizon it was cut at, plus every
-/// object as `(resource_version, body)`.
-#[derive(Debug, Default)]
-pub struct SnapshotData {
-    /// The store revision at the start of the snapshot scan. Every write at
-    /// or below this revision is fully reflected; the WAL suffix above it
-    /// replays the rest.
-    pub revision: u64,
-    /// The stored objects (kind/namespace/name are re-derived from the body
-    /// on load, exactly as admission derives them).
-    pub objects: Vec<(u64, Value)>,
-}
-
-/// Write a snapshot of `objects` at `revision` through an explicit I/O:
-/// temp file, fsync, atomic rename. The payload is CRC-sealed, so a
-/// bit-flipped snapshot is rejected at load instead of resurrecting corrupt
-/// objects.
-///
-/// # Errors
-///
-/// Filesystem errors only.
-pub fn write_snapshot_with(
-    io: &dyn StorageIo,
-    path: &Path,
-    revision: u64,
-    objects: &[Arc<StoredObject>],
-) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(objects.len() * 256 + 16);
-    binary::put_u64(&mut payload, revision);
-    binary::put_u64(&mut payload, objects.len() as u64);
-    for stored in objects {
-        binary::put_u64(&mut payload, stored.resource_version);
-        binary::put_value(&mut payload, stored.object.body());
-    }
-    let mut out = Vec::with_capacity(payload.len() + 12);
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    binary::put_u32(&mut out, binary::crc32(&payload));
-    out.extend_from_slice(&payload);
-    let tmp = path.with_extension("kfsnap.tmp");
-    io.write_file(&tmp, &out)?;
-    io.rename(&tmp, path)?;
-    io.sync_parent_dir(path);
-    Ok(())
-}
-
-/// [`write_snapshot_with`] over the real filesystem.
-///
-/// # Errors
-///
-/// Filesystem errors only.
-pub fn write_snapshot(path: &Path, revision: u64, objects: &[Arc<StoredObject>]) -> io::Result<()> {
-    write_snapshot_with(&RealIo, path, revision, objects)
-}
-
-/// Load a snapshot through an explicit I/O; `Ok(None)` when the file does
-/// not exist.
-///
-/// # Errors
-///
-/// Filesystem errors, or [`io::ErrorKind::InvalidData`] when the magic,
-/// checksum or payload decode fails. The recovery path quarantines on
-/// `InvalidData` instead of refusing to boot — see [`Persistence::open`].
-pub fn read_snapshot_with(io: &dyn StorageIo, path: &Path) -> io::Result<Option<SnapshotData>> {
-    let bytes = match io.read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
-    if bytes.len() < 12 || &bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(invalid("snapshot magic mismatch"));
-    }
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let payload = &bytes[12..];
-    if binary::crc32(payload) != crc {
-        return Err(invalid("snapshot checksum mismatch"));
-    }
-    let mut cursor = Cursor::new(payload);
-    let mut parse = || -> Result<SnapshotData, kf_yaml::binary::BinaryError> {
-        let revision = cursor.get_u64()?;
-        let count = cursor.get_u64()? as usize;
-        let mut objects = Vec::with_capacity(count.min(payload.len()));
-        for _ in 0..count {
-            let resource_version = cursor.get_u64()?;
-            let body = cursor.get_value()?;
-            objects.push((resource_version, body));
-        }
-        Ok(SnapshotData { revision, objects })
-    };
-    parse().map(Some).map_err(|e| invalid(&e.to_string()))
-}
-
-/// [`read_snapshot_with`] over the real filesystem.
-///
-/// # Errors
-///
-/// Filesystem errors, or [`io::ErrorKind::InvalidData`] on corruption.
-pub fn read_snapshot(path: &Path) -> io::Result<Option<SnapshotData>> {
-    read_snapshot_with(&RealIo, path)
-}
-
-/// A decoded per-shard snapshot segment: which store shard it covers, the
-/// horizon it was cut at, and the shard's objects.
-#[derive(Debug, Default)]
-pub struct SegmentData {
-    /// The store shard this segment snapshots.
-    pub shard: usize,
+/// A decoded per-shard snapshot segment: the horizon it was cut at and the
+/// shard's objects.
+#[derive(Debug)]
+struct SegmentData {
     /// The checkpoint horizon the segment was cut at. Every write to this
     /// shard at or below the horizon is reflected; the WAL suffix above it
     /// replays the rest.
-    pub horizon: u64,
+    horizon: u64,
     /// The shard's objects as `(resource_version, body)`.
-    pub objects: Vec<(u64, Value)>,
+    objects: Vec<(u64, Value)>,
 }
 
 /// What one manifest line vouches for: shard `shard`'s segment file is
 /// live, holding `objects` objects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ManifestEntry {
+#[derive(Debug)]
+struct ManifestEntry {
     /// The store shard index.
-    pub shard: usize,
+    shard: usize,
     /// Objects in the segment when its manifest was written (telemetry —
     /// the segment's own header is the integrity truth).
-    pub objects: u64,
+    objects: u64,
 }
 
 /// A decoded snapshot manifest: the commit point of an incremental
 /// checkpoint. Lists the live segments and the horizon the checkpoint
 /// covered; rotated `current → prev` on every checkpoint so a torn current
 /// manifest falls back to the last complete one.
-#[derive(Debug, Clone, Default)]
-pub struct ManifestData {
+#[derive(Debug)]
+struct ManifestData {
     /// The checkpoint horizon (the WAL was compacted to this revision).
-    pub horizon: u64,
-    /// Store shard count at write time (a geometry check for readers).
-    pub shard_count: usize,
+    horizon: u64,
     /// The live segments.
-    pub entries: Vec<ManifestEntry>,
+    entries: Vec<ManifestEntry>,
 }
 
-/// Write one shard's snapshot segment: temp file, fsync, atomic rename —
-/// the same crash discipline as the monolithic snapshot, per shard.
-///
-/// # Errors
-///
-/// Filesystem errors only.
-pub fn write_segment_with(
+/// Publish one shard's snapshot segment as a sealed file. Payload:
+/// `shard u64 | horizon u64 | count u64 | (resource_version u64, value)*`.
+fn write_segment(
     io: &dyn StorageIo,
     dir: &Path,
     shard: usize,
     horizon: u64,
     objects: &[Arc<StoredObject>],
 ) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(objects.len() * 256 + 24);
-    binary::put_u64(&mut payload, shard as u64);
-    binary::put_u64(&mut payload, horizon);
-    binary::put_u64(&mut payload, objects.len() as u64);
-    for stored in objects {
-        binary::put_u64(&mut payload, stored.resource_version);
-        binary::put_value(&mut payload, stored.object.body());
-    }
-    let mut out = Vec::with_capacity(payload.len() + 12);
-    out.extend_from_slice(SEGMENT_MAGIC);
-    binary::put_u32(&mut out, binary::crc32(&payload));
-    out.extend_from_slice(&payload);
-    let name = segment_file(shard);
-    let tmp = dir.join(format!("{name}.tmp"));
-    io.write_file(&tmp, &out)?;
-    io.rename(&tmp, &dir.join(name))?;
-    io.sync_parent_dir(dir);
-    Ok(())
-}
-
-/// Load one snapshot segment; `Ok(None)` when the file does not exist.
-///
-/// # Errors
-///
-/// Filesystem errors, or [`io::ErrorKind::InvalidData`] when the magic,
-/// checksum or payload decode fails — recovery quarantines that segment
-/// and serves the rest (its records are still in the un-compacted WAL or
-/// were already lost with the device, never silently resurrected).
-pub fn read_segment_with(io: &dyn StorageIo, path: &Path) -> io::Result<Option<SegmentData>> {
-    let bytes = match io.read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
-    if bytes.len() < 12 || &bytes[..8] != SEGMENT_MAGIC {
-        return Err(invalid("segment magic mismatch"));
-    }
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let payload = &bytes[12..];
-    if binary::crc32(payload) != crc {
-        return Err(invalid("segment checksum mismatch"));
-    }
-    let mut cursor = Cursor::new(payload);
-    let mut parse = || -> Result<SegmentData, kf_yaml::binary::BinaryError> {
-        let shard = cursor.get_u64()? as usize;
-        let horizon = cursor.get_u64()?;
-        let count = cursor.get_u64()? as usize;
-        let mut objects = Vec::with_capacity(count.min(payload.len()));
-        for _ in 0..count {
-            let resource_version = cursor.get_u64()?;
-            let body = cursor.get_value()?;
-            objects.push((resource_version, body));
+    let path = dir.join(segment_file(shard));
+    write_sealed(io, &path, SEGMENT_MAGIC, None, |out| {
+        out.reserve(objects.len() * 256 + 24);
+        binary::put_u64(out, shard as u64);
+        binary::put_u64(out, horizon);
+        binary::put_u64(out, objects.len() as u64);
+        for stored in objects {
+            binary::put_u64(out, stored.resource_version);
+            binary::put_value(out, stored.object.body());
         }
-        Ok(SegmentData {
-            shard,
-            horizon,
-            objects,
-        })
-    };
-    parse().map(Some).map_err(|e| invalid(&e.to_string()))
+    })
 }
 
-/// Write the snapshot manifest with rotation: the payload goes to a temp
-/// file (fsync'd), the current manifest (if any) is renamed to
-/// [`MANIFEST_PREV_FILE`], then the temp renames into place and the
-/// directory is fsync'd. A crash between the two renames leaves `prev` +
-/// the fsync'd temp — recovery falls back to `prev` and replays a longer
-/// WAL suffix, losing nothing (segments on disk are always at least as new
-/// as any manifest that lists them).
+/// Load shard `shard`'s segment; `Ok(None)` when the file does not exist.
 ///
-/// # Errors
-///
-/// Filesystem errors only.
-pub fn write_manifest_with(
-    io: &dyn StorageIo,
-    dir: &Path,
-    manifest: &ManifestData,
-) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(manifest.entries.len() * 16 + 24);
-    binary::put_u64(&mut payload, manifest.horizon);
-    binary::put_u64(&mut payload, manifest.shard_count as u64);
-    binary::put_u64(&mut payload, manifest.entries.len() as u64);
-    for entry in &manifest.entries {
-        binary::put_u64(&mut payload, entry.shard as u64);
-        binary::put_u64(&mut payload, entry.objects);
-    }
-    let mut out = Vec::with_capacity(payload.len() + 12);
-    out.extend_from_slice(MANIFEST_MAGIC);
-    binary::put_u32(&mut out, binary::crc32(&payload));
-    out.extend_from_slice(&payload);
-    let current = dir.join(MANIFEST_FILE);
-    let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-    io.write_file(&tmp, &out)?;
-    match io.rename(&current, &dir.join(MANIFEST_PREV_FILE)) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-    io.rename(&tmp, &current)?;
-    io.sync_parent_dir(dir);
-    Ok(())
+/// `InvalidData` — recovery then quarantines the segment and serves the
+/// rest — when the seal or payload is bad or the header names a different
+/// shard than the slot it sits in (its objects would replay in the wrong
+/// partition while the slot's own loss went unreported).
+fn read_segment(io: &dyn StorageIo, dir: &Path, shard: usize) -> io::Result<Option<SegmentData>> {
+    read_sealed(
+        io,
+        &dir.join(segment_file(shard)),
+        SEGMENT_MAGIC,
+        |cursor| {
+            let named = cursor.get_u64()?;
+            if named != shard as u64 {
+                return Err(format!("segment header names shard {named}, slot is {shard}").into());
+            }
+            let horizon = cursor.get_u64()?;
+            let count = cursor.get_u64()? as usize;
+            let mut objects = Vec::with_capacity(count.min(cursor.remaining()));
+            for _ in 0..count {
+                objects.push((cursor.get_u64()?, cursor.get_value()?));
+            }
+            Ok(SegmentData { horizon, objects })
+        },
+    )
 }
 
-/// Load a snapshot manifest; `Ok(None)` when the file does not exist.
-///
-/// # Errors
-///
-/// Filesystem errors, or [`io::ErrorKind::InvalidData`] on a torn/corrupt
-/// manifest — recovery then falls back to [`MANIFEST_PREV_FILE`], and past
-/// that to probing the (self-validating) segment files directly.
-pub fn read_manifest_with(io: &dyn StorageIo, path: &Path) -> io::Result<Option<ManifestData>> {
-    let bytes = match io.read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
-    if bytes.len() < 12 || &bytes[..8] != MANIFEST_MAGIC {
-        return Err(invalid("manifest magic mismatch"));
-    }
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let payload = &bytes[12..];
-    if binary::crc32(payload) != crc {
-        return Err(invalid("manifest checksum mismatch"));
-    }
-    let mut cursor = Cursor::new(payload);
-    let mut parse = || -> Result<ManifestData, kf_yaml::binary::BinaryError> {
+/// Publish the manifest as a sealed file with rotation: the current
+/// manifest becomes [`MANIFEST_PREV_FILE`] only after the new one's temp
+/// file is durable, so a crash between the two renames leaves `prev` + the
+/// fsync'd temp — recovery falls back to `prev` and replays a longer WAL
+/// suffix, losing nothing (segments on disk are always at least as new as
+/// any manifest that lists them). Payload:
+/// `horizon u64 | shard_count u64 | count u64 | (shard u64, objects u64)*`,
+/// where `shard_count` records the store geometry at write time.
+fn write_manifest(io: &dyn StorageIo, dir: &Path, manifest: &ManifestData) -> io::Result<()> {
+    let prev = dir.join(MANIFEST_PREV_FILE);
+    write_sealed(
+        io,
+        &dir.join(MANIFEST_FILE),
+        MANIFEST_MAGIC,
+        Some(&prev),
+        |out| {
+            binary::put_u64(out, manifest.horizon);
+            binary::put_u64(out, store_shards() as u64);
+            binary::put_u64(out, manifest.entries.len() as u64);
+            for entry in &manifest.entries {
+                binary::put_u64(out, entry.shard as u64);
+                binary::put_u64(out, entry.objects);
+            }
+        },
+    )
+}
+
+/// Load a manifest; `Ok(None)` when the file does not exist, `InvalidData`
+/// on a torn/corrupt one — recovery then falls back to
+/// [`MANIFEST_PREV_FILE`], and past that to probing the (self-validating)
+/// segment files directly.
+fn read_manifest(io: &dyn StorageIo, path: &Path) -> io::Result<Option<ManifestData>> {
+    read_sealed(io, path, MANIFEST_MAGIC, |cursor| {
         let horizon = cursor.get_u64()?;
-        let shard_count = cursor.get_u64()? as usize;
+        cursor.get_u64()?; // shard_count: informational
         let count = cursor.get_u64()? as usize;
-        let mut entries = Vec::with_capacity(count.min(payload.len()));
+        let mut entries = Vec::with_capacity(count.min(cursor.remaining()));
         for _ in 0..count {
             let shard = cursor.get_u64()? as usize;
             let objects = cursor.get_u64()?;
             entries.push(ManifestEntry { shard, objects });
         }
-        Ok(ManifestData {
-            horizon,
-            shard_count,
-            entries,
-        })
-    };
-    parse().map(Some).map_err(|e| invalid(&e.to_string()))
+        Ok(ManifestData { horizon, entries })
+    })
 }
 
 /// What recovery found and did.
@@ -1686,12 +1514,11 @@ pub struct RecoveryReport {
     pub live_objects: usize,
     /// `Some` when a torn/corrupt WAL tail was detected and truncated.
     pub torn_tail: Option<TornTail>,
-    /// `Some` when a corrupt snapshot artifact (legacy monolithic
-    /// snapshot, manifest, or segment) was quarantined — renamed to this
-    /// path, the first one when several — and boot recovered without it.
+    /// `Some` when a corrupt snapshot artifact (manifest or segment) was
+    /// quarantined — renamed to this path, the first one when several —
+    /// and boot recovered without it.
     pub snapshot_quarantined: Option<PathBuf>,
-    /// Per-shard snapshot segments loaded (0 when boot used a legacy
-    /// monolithic snapshot or started empty).
+    /// Per-shard snapshot segments loaded (0 when boot started empty).
     pub segments_loaded: usize,
     /// `true` when the current manifest was unreadable and recovery fell
     /// back to the previous manifest or to probing the segment files
@@ -1763,9 +1590,9 @@ fn store_shards() -> usize {
     crate::store::SHARDS
 }
 
-/// One shard's replay inputs: raw segment seeds, pre-parsed legacy-snapshot
-/// seeds, and the shard's WAL records in file order.
-type ShardReplayJob = (Vec<(u64, Value)>, Vec<(u64, K8sObject)>, Vec<WalRecord>);
+/// One shard's replay inputs: its segment's seeds and its WAL records in
+/// file order.
+type ShardReplayJob = (Vec<(u64, Value)>, Vec<WalRecord>);
 
 /// One replay partition's result.
 struct ShardReplayOutcome {
@@ -1775,38 +1602,24 @@ struct ShardReplayOutcome {
 }
 
 /// Rebuild one store shard's keyed state: segment seeds (un-parsed bodies)
-/// and pre-parsed legacy-snapshot seeds first — highest resource version
-/// wins where sources overlap — then the shard's WAL records in file order
-/// under the revision guard. Runs on a replay worker thread; the
-/// partitioning by [`crate::store::shard_index_raw`] guarantees every
-/// write to one key lands in exactly one partition, so the guard sees the
-/// key's full history.
+/// first, then the shard's WAL records in file order under the revision
+/// guard. Runs on a replay worker thread; the partitioning by
+/// [`crate::store::shard_index_raw`] guarantees every write to one key
+/// lands in exactly one partition, so the guard sees the key's full
+/// history.
 fn replay_shard(
-    raw_seeds: Vec<(u64, Value)>,
-    parsed_seeds: Vec<(u64, K8sObject)>,
+    seeds: Vec<(u64, Value)>,
     records: Vec<WalRecord>,
 ) -> io::Result<ShardReplayOutcome> {
     let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
     type ReplayKey = (usize, String, String);
     let mut state: std::collections::HashMap<ReplayKey, (u64, Option<K8sObject>)> =
-        std::collections::HashMap::with_capacity(raw_seeds.len() + parsed_seeds.len());
+        std::collections::HashMap::with_capacity(seeds.len());
     let mut max_revision = 0u64;
     let mut replayed = 0usize;
-    for (resource_version, body) in raw_seeds {
+    for (resource_version, body) in seeds {
         let object = K8sObject::from_shared(Arc::new(body))
             .map_err(|e| invalid(format!("snapshot object: {e}")))?;
-        max_revision = max_revision.max(resource_version);
-        let key = (
-            object.kind().index(),
-            object.namespace().to_owned(),
-            object.name().to_owned(),
-        );
-        let entry = state.entry(key).or_insert((0, None));
-        if resource_version > entry.0 {
-            *entry = (resource_version, Some(object));
-        }
-    }
-    for (resource_version, object) in parsed_seeds {
         max_revision = max_revision.max(resource_version);
         let key = (
             object.kind().index(),
@@ -1875,8 +1688,8 @@ impl Persistence {
     /// [`StorageIo`] and recover a store from it: load the checkpoint
     /// manifest (falling back to the previous complete manifest when the
     /// current one is torn, and to probing the segment files directly when
-    /// neither survives), load every valid per-shard segment plus a legacy
-    /// monolithic snapshot if present (quarantining corrupt artifacts),
+    /// neither survives), load every valid per-shard segment (quarantining
+    /// corrupt artifacts),
     /// replay the WAL suffix (truncating a torn tail) partitioned by store
     /// shard across worker threads, seed the store, seal the watch horizon
     /// at the recovered revision, and attach the WAL so every subsequent
@@ -1885,8 +1698,8 @@ impl Persistence {
     /// # Errors
     ///
     /// Filesystem errors; [`io::ErrorKind::InvalidData`] only when a WAL or
-    /// snapshot object body no longer parses as an object (a corrupt
-    /// snapshot/segment/manifest *file* is quarantined instead — see
+    /// segment object body no longer parses as an object (a corrupt
+    /// segment/manifest *file* is quarantined instead — see
     /// [`RecoveryReport::snapshot_quarantined`]).
     pub fn open_with_io(
         config: PersistConfig,
@@ -1913,10 +1726,10 @@ impl Persistence {
         };
 
         // Manifest chain: current → previous complete → none. The rotation
-        // in `write_manifest_with` renames current → prev before publishing
+        // in `write_manifest` renames current → prev before publishing
         // the new current, so a crash mid-checkpoint leaves prev intact.
         let manifest_path = config.dir.join(MANIFEST_FILE);
-        let mut manifest = match read_manifest_with(&*io, &manifest_path) {
+        let mut manifest = match read_manifest(&*io, &manifest_path) {
             Ok(manifest) => manifest,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 quarantine(&*io, &manifest_path)?;
@@ -1926,7 +1739,7 @@ impl Persistence {
         };
         if manifest.is_none() {
             let prev_path = config.dir.join(MANIFEST_PREV_FILE);
-            match read_manifest_with(&*io, &prev_path) {
+            match read_manifest(&*io, &prev_path) {
                 Ok(Some(prev)) => {
                     report.manifest_fallback = true;
                     manifest = Some(prev);
@@ -1942,75 +1755,43 @@ impl Persistence {
         // Segments are self-validating (magic + CRC + embedded shard and
         // horizon), so probe every shard slot directly rather than trusting
         // the manifest's entry list — this also recovers the case where
-        // both manifests are torn but the segments survived.
+        // both manifests are torn but the segments survived. A segment
+        // whose header names another shard is corrupt: replay's revision
+        // guard needs every record for a key in the one partition its hash
+        // picks, and that is the slot's.
         let shards = store_shards();
-        let mut raw_seeds: Vec<Vec<(u64, Value)>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut seeds: Vec<Vec<(u64, Value)>> = (0..shards).map(|_| Vec::new()).collect();
         let mut segment_horizon = 0u64;
-        for shard_no in 0..shards {
-            let path = config.dir.join(segment_file(shard_no));
-            match read_segment_with(&*io, &path) {
+        for (shard_no, slot) in seeds.iter_mut().enumerate() {
+            match read_segment(&*io, &config.dir, shard_no) {
                 Ok(Some(segment)) => {
                     report.segments_loaded += 1;
                     segment_horizon = segment_horizon.max(segment.horizon);
-                    // Route by the segment's own header: the objects inside
-                    // hash to `segment.shard`, and replay's revision guard
-                    // needs every record for a key in one partition.
-                    let slot = segment.shard.min(shards - 1);
-                    raw_seeds[slot].extend(segment.objects);
+                    *slot = segment.objects;
                 }
                 Ok(None) => {}
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    quarantine(&*io, &path)?;
+                    quarantine(&*io, &config.dir.join(segment_file(shard_no)))?;
                 }
                 Err(e) => return Err(e),
             }
         }
 
-        // Legacy monolithic snapshot (pre-incremental checkpoints). A
-        // directory last checkpointed by an older build seeds from it; the
-        // first incremental checkpoint retires it.
-        let snapshot_path = config.dir.join(SNAPSHOT_FILE);
-        let legacy = match read_snapshot_with(&*io, &snapshot_path) {
-            Ok(snapshot) => snapshot.unwrap_or_default(),
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                quarantine(&*io, &snapshot_path)?;
-                SnapshotData::default()
-            }
-            Err(e) => return Err(e),
-        };
-
         let snapshot_revision = manifest
             .as_ref()
             .map(|m| m.horizon)
             .unwrap_or(0)
-            .max(segment_horizon)
-            .max(legacy.revision);
+            .max(segment_horizon);
         report.snapshot_revision = snapshot_revision;
-        report.snapshot_objects =
-            raw_seeds.iter().map(Vec::len).sum::<usize>() + legacy.objects.len();
+        report.snapshot_objects = seeds.iter().map(Vec::len).sum();
 
         let replay = recover_wal_with(&*io, &wal_path)?;
         report.wal_records = replay.records.len();
         report.torn_tail = replay.torn;
 
-        // Partition the remaining serial work by store shard. Legacy
-        // snapshot bodies are parsed here (the monolithic format does not
-        // record shard geometry); segment seeds and WAL records route by
-        // the same hash the store uses, so each worker owns every source
-        // of truth for its keys.
-        let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
-        let mut parsed_seeds: Vec<Vec<(u64, K8sObject)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        for (resource_version, body) in legacy.objects {
-            let object = K8sObject::from_shared(Arc::new(body))
-                .map_err(|e| invalid(format!("snapshot object: {e}")))?;
-            let slot = crate::store::shard_index_raw(
-                object.kind().index(),
-                object.namespace(),
-                object.name(),
-            );
-            parsed_seeds[slot].push((resource_version, object));
-        }
+        // Partition the remaining serial work by store shard: WAL records
+        // route by the same hash the store uses, so each worker owns every
+        // source of truth for its keys.
         let mut shard_records: Vec<Vec<WalRecord>> = (0..shards).map(|_| Vec::new()).collect();
         for record in replay.records {
             let slot =
@@ -2021,15 +1802,10 @@ impl Persistence {
         let total_work = report.snapshot_objects + report.wal_records;
         let workers = replay_worker_count(total_work);
         report.replay_workers = workers;
-        let jobs: Vec<ShardReplayJob> = raw_seeds
-            .into_iter()
-            .zip(parsed_seeds)
-            .zip(shard_records)
-            .map(|((raw, parsed), records)| (raw, parsed, records))
-            .collect();
+        let jobs: Vec<ShardReplayJob> = seeds.into_iter().zip(shard_records).collect();
         let outcomes: Vec<ShardReplayOutcome> = if workers <= 1 {
             jobs.into_iter()
-                .map(|(raw, parsed, records)| replay_shard(raw, parsed, records))
+                .map(|(seeds, records)| replay_shard(seeds, records))
                 .collect::<io::Result<Vec<_>>>()?
         } else {
             let mut buckets: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
@@ -2043,7 +1819,7 @@ impl Persistence {
                         scope.spawn(move || {
                             bucket
                                 .into_iter()
-                                .map(|(raw, parsed, records)| replay_shard(raw, parsed, records))
+                                .map(|(seeds, records)| replay_shard(seeds, records))
                                 .collect::<io::Result<Vec<_>>>()
                         })
                     })
@@ -2168,14 +1944,13 @@ impl Persistence {
             let snapshot = store.snapshot_shard(shard_no);
             objects += snapshot.len();
             written.push((shard_no, snapshot.len() as u64));
-            write_segment_with(&*self.io, &self.dir, shard_no, horizon, &snapshot)?;
+            write_segment(&*self.io, &self.dir, shard_no, horizon, &snapshot)?;
         }
 
         // The manifest enumerates whichever segments exist on disk now:
         // the ones just rewritten plus clean shards' earlier segments.
         let shards = store_shards();
-        let previous =
-            read_manifest_with(&*self.io, &self.dir.join(MANIFEST_FILE)).unwrap_or_default();
+        let previous = read_manifest(&*self.io, &self.dir.join(MANIFEST_FILE)).unwrap_or_default();
         let mut entries = Vec::new();
         for shard_no in 0..shards {
             if let Some(&(_, count)) = written.iter().find(|(no, _)| *no == shard_no) {
@@ -2202,26 +1977,7 @@ impl Persistence {
                 Err(e) => return Err(e),
             }
         }
-        let manifest = ManifestData {
-            horizon,
-            shard_count: shards,
-            entries,
-        };
-        write_manifest_with(&*self.io, &self.dir, &manifest)?;
-
-        // First incremental checkpoint over a legacy directory: the
-        // manifest + segments now cover everything the monolithic snapshot
-        // held, so retire it (rename, not delete — forensics-friendly and
-        // crash-atomic like every other publish here).
-        let legacy = self.dir.join(SNAPSHOT_FILE);
-        match self
-            .io
-            .rename(&legacy, &legacy.with_extension("kfsnap.superseded"))
-        {
-            Ok(()) => self.io.sync_parent_dir(&legacy),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
+        write_manifest(&*self.io, &self.dir, &ManifestData { horizon, entries })?;
 
         let wal_retained = self.wal.compact(&self.dir.join(WAL_FILE), horizon)?;
         Ok(CheckpointReport {
@@ -2490,37 +2246,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_and_rejects_corruption() {
-        let dir = temp_dir("snap");
-        let path = dir.join(SNAPSHOT_FILE);
-        let objects: Vec<Arc<StoredObject>> = (1..=5)
-            .map(|v| {
-                Arc::new(StoredObject {
-                    object: pod("ns", &format!("pod-{v}"), "nginx"),
-                    resource_version: v,
-                })
-            })
-            .collect();
-        write_snapshot(&path, 5, &objects).expect("write");
-        let data = read_snapshot(&path).expect("read").expect("present");
-        assert_eq!(data.revision, 5);
-        assert_eq!(data.objects.len(), 5);
-        for ((rv, body), original) in data.objects.iter().zip(&objects) {
-            assert_eq!(*rv, original.resource_version);
-            assert_eq!(body, original.object.body(), "byte-identical tree");
-        }
-        // No tmp file left behind; corruption is rejected, not loaded.
-        assert!(!path.with_extension("kfsnap.tmp").exists());
-        let mut bytes = fs::read(&path).expect("read bytes");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 1;
-        fs::write(&path, &bytes).expect("write corrupted");
-        let err = read_snapshot(&path).expect_err("corrupt snapshot rejected");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn corrupt_segment_is_quarantined_and_the_other_shards_still_boot() {
         let dir = temp_dir("quarantine");
         {
@@ -2577,41 +2302,46 @@ mod tests {
     }
 
     #[test]
-    fn legacy_monolithic_snapshot_still_boots_and_is_retired() {
-        let dir = temp_dir("legacy");
-        // A directory last checkpointed by a pre-incremental build: one
-        // monolithic snapshot, no manifest, no segments.
-        let objects: Vec<Arc<StoredObject>> = (1..=4u64)
-            .map(|v| {
-                Arc::new(StoredObject {
-                    object: pod("ns", &format!("pod-{v}"), "nginx"),
-                    resource_version: v,
-                })
-            })
-            .collect();
-        write_snapshot(&dir.join(SNAPSHOT_FILE), 4, &objects).expect("write legacy snapshot");
-        let (store, persistence, report) =
-            Persistence::open(PersistConfig::new(&dir)).expect("open");
-        assert_eq!(report.snapshot_objects, 4);
-        assert_eq!(report.snapshot_revision, 4);
-        assert_eq!(
-            StoreBackend::len(&store),
-            4,
-            "legacy snapshot seeds the store"
-        );
-        assert_eq!(StoreBackend::revision(&store), 4, "revision floor holds");
-        // The first incremental checkpoint supersedes the legacy file.
-        store.upsert(pod("ns", "pod-5", "nginx"));
-        persistence.checkpoint(&store).expect("checkpoint");
-        assert!(
-            !dir.join(SNAPSHOT_FILE).exists(),
-            "legacy snapshot retired after the first incremental checkpoint"
-        );
-        assert!(dir.join(MANIFEST_FILE).exists());
+    fn segment_in_the_wrong_slot_is_quarantined() {
+        let dir = temp_dir("slot");
+        let (from, to) = {
+            let (store, persistence, _) =
+                Persistence::open(PersistConfig::new(&dir)).expect("open");
+            for r in 1..=6u64 {
+                store.upsert(pod("ns", &format!("pod-{r}"), "nginx"));
+            }
+            persistence.checkpoint(&store).expect("checkpoint");
+            let from = crate::store::shard_index_raw(ResourceKind::Pod.index(), "ns", "pod-1");
+            (from, (from + 1) % store_shards())
+        };
+        // A CRC-valid segment copied onto another slot's path: its header
+        // still names the source shard.
+        fs::copy(dir.join(segment_file(from)), dir.join(segment_file(to))).expect("copy");
         let (store, _persistence, report) =
-            Persistence::open(PersistConfig::new(&dir)).expect("reopen");
-        assert!(report.segments_loaded > 0, "segments now seed the boot");
-        assert_eq!(StoreBackend::len(&store), 5);
+            Persistence::open(PersistConfig::new(&dir)).expect("boot survives");
+        let quarantined = report.snapshot_quarantined.expect("mismatch quarantined");
+        assert_eq!(
+            quarantined,
+            dir.join(format!("{}.corrupt", segment_file(to))),
+            "the slot whose own segment is lost is the one reported"
+        );
+        assert_eq!(report.segments_loaded, store_shards() - 1);
+        assert!(
+            store.get(ResourceKind::Pod, "ns", "pod-1").is_some(),
+            "the source slot still serves its objects"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn leftover_legacy_snapshot_is_ignored() {
+        let dir = temp_dir("leftover");
+        fs::write(dir.join("store.kfsnap"), b"KFSNAP1\0 any bytes").expect("write");
+        let (store, _persistence, report) =
+            Persistence::open(PersistConfig::new(&dir)).expect("open");
+        assert_eq!(StoreBackend::len(&store), 0);
+        assert!(report.snapshot_quarantined.is_none());
+        assert!(dir.join("store.kfsnap").exists(), "left untouched");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2835,39 +2565,36 @@ mod tests {
                 })
             })
             .collect();
-        write_segment_with(&io, &dir, 7, 3, &objects).expect("write segment");
-        let segment = read_segment_with(&io, &dir.join(segment_file(7)))
+        write_segment(&io, &dir, 7, 3, &objects).expect("write segment");
+        let segment = read_segment(&io, &dir, 7)
             .expect("read segment")
             .expect("present");
-        assert_eq!(segment.shard, 7);
         assert_eq!(segment.horizon, 3);
         assert_eq!(segment.objects.len(), 3);
         for ((rv, body), original) in segment.objects.iter().zip(&objects) {
             assert_eq!(*rv, original.resource_version);
             assert_eq!(body, original.object.body(), "byte-identical tree");
         }
-        assert!(read_segment_with(&io, &dir.join(segment_file(8)))
+        assert!(read_segment(&io, &dir, 8)
             .expect("absent segment")
             .is_none());
 
         let first = ManifestData {
             horizon: 3,
-            shard_count: 16,
             entries: vec![ManifestEntry {
                 shard: 7,
                 objects: 3,
             }],
         };
-        write_manifest_with(&io, &dir, &first).expect("write manifest");
+        write_manifest(&io, &dir, &first).expect("write manifest");
         assert!(
-            read_manifest_with(&io, &dir.join(MANIFEST_PREV_FILE))
+            read_manifest(&io, &dir.join(MANIFEST_PREV_FILE))
                 .expect("no prev yet")
                 .is_none(),
             "first manifest has nothing to rotate"
         );
         let second = ManifestData {
             horizon: 9,
-            shard_count: 16,
             entries: vec![
                 ManifestEntry {
                     shard: 2,
@@ -2879,13 +2606,13 @@ mod tests {
                 },
             ],
         };
-        write_manifest_with(&io, &dir, &second).expect("write second manifest");
-        let current = read_manifest_with(&io, &dir.join(MANIFEST_FILE))
+        write_manifest(&io, &dir, &second).expect("write second manifest");
+        let current = read_manifest(&io, &dir.join(MANIFEST_FILE))
             .expect("read current")
             .expect("present");
         assert_eq!(current.horizon, 9);
         assert_eq!(current.entries.len(), 2);
-        let prev = read_manifest_with(&io, &dir.join(MANIFEST_PREV_FILE))
+        let prev = read_manifest(&io, &dir.join(MANIFEST_PREV_FILE))
             .expect("read prev")
             .expect("rotated");
         assert_eq!(

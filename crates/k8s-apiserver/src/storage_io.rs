@@ -1,11 +1,15 @@
 //! The storage I/O seam under the persistence plane, plus deterministic
 //! fault injection.
 //!
-//! Every byte the WAL and snapshot code moves to or from disk goes through
+//! Every byte the persistence plane moves to or from disk goes through
 //! a [`StorageIo`] — a small trait covering exactly the operations
 //! `crate::persist` performs (append-mode writes, whole-file reads, atomic
-//! tmp-then-rename publication, truncation, directory syncs). Production
-//! uses [`RealIo`] (a thin veneer over `std::fs`); tests, benches and the
+//! tmp-then-rename publication, truncation, directory syncs). Every
+//! whole-file artifact (snapshot segments, the manifest, the AOT arena
+//! cache) is a *sealed file* written by [`write_sealed`] and read by
+//! [`read_sealed`], the one place that knows the
+//! `magic | crc32(payload) | payload` frame and the [`publish`] order.
+//! Production uses [`RealIo`] (a thin veneer over `std::fs`); tests, benches and the
 //! chaos workload wrap it in a [`FaultyIo`] that injects failures from a
 //! deterministic, seedable [`FaultSchedule`]:
 //!
@@ -30,10 +34,12 @@
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+use kf_yaml::binary::{self, Cursor};
 
 /// An open append-mode file handle, as the WAL uses one.
 pub trait StorageFile: Send + std::fmt::Debug {
@@ -179,6 +185,120 @@ impl StorageIo for RealIo {
             }
         }
     }
+}
+
+/// Sealed-file header: 8-byte magic plus the payload's CRC-32 (LE).
+const SEALED_HEADER: usize = 12;
+
+/// A payload decoder's failure; [`read_sealed`] reports it as
+/// [`io::ErrorKind::InvalidData`].
+pub type DecodeError = Box<dyn std::error::Error + Send + Sync>;
+
+/// The temp file a publish of `path` stages through: `<name>.tmp` beside it.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_owned();
+    name.push(".tmp");
+    path.with_file_name(name)
+}
+
+/// Atomically replace `path` with `bytes`: write and fsync `<name>.tmp`,
+/// optionally rotate the current `path` to `keep_prev` (a missing current
+/// file is fine), rename the temp over `path`, then fsync the directory
+/// holding `path` so the renames are durable. The temp is durable before
+/// any rename, so a crash at any point leaves either the old file (or
+/// `keep_prev`) or the complete new one — never a torn artifact. One
+/// publish costs exactly one write and one fsync toward a [`FaultSchedule`].
+///
+/// # Errors
+///
+/// Filesystem errors from the write or either rename.
+pub fn publish(
+    io: &dyn StorageIo,
+    path: &Path,
+    bytes: &[u8],
+    keep_prev: Option<&Path>,
+) -> io::Result<()> {
+    let tmp = tmp_path(path);
+    io.write_file(&tmp, bytes)?;
+    if let Some(prev) = keep_prev {
+        if let Err(e) = io.rename(path, prev) {
+            if e.kind() != io::ErrorKind::NotFound {
+                return Err(e);
+            }
+        }
+    }
+    io.rename(&tmp, path)?;
+    io.sync_parent_dir(path);
+    Ok(())
+}
+
+/// Seal the payload `encode` appends — framed as
+/// `magic(8) | crc32(payload) LE(4) | payload` — and [`publish`] it at
+/// `path`.
+///
+/// # Errors
+///
+/// Those of [`publish`].
+pub fn write_sealed(
+    io: &dyn StorageIo,
+    path: &Path,
+    magic: &[u8; 8],
+    keep_prev: Option<&Path>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    let mut bytes = magic.to_vec();
+    bytes.extend_from_slice(&[0; 4]);
+    encode(&mut bytes);
+    let crc = binary::crc32(&bytes[SEALED_HEADER..]);
+    bytes[magic.len()..SEALED_HEADER].copy_from_slice(&crc.to_le_bytes());
+    publish(io, path, &bytes, keep_prev)
+}
+
+/// Read a file written by [`write_sealed`] and decode its payload;
+/// `Ok(None)` when the file does not exist.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] when the magic or CRC does not match,
+/// `decode` fails, or `decode` leaves payload bytes unconsumed; other
+/// filesystem errors as they come.
+pub fn read_sealed<T>(
+    io: &dyn StorageIo,
+    path: &Path,
+    magic: &[u8; 8],
+    decode: impl FnOnce(&mut Cursor<'_>) -> Result<T, DecodeError>,
+) -> io::Result<Option<T>> {
+    let bytes = match io.read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    let invalid = |what: String| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {what}", path.display()),
+        )
+    };
+    if bytes.len() < SEALED_HEADER || &bytes[..magic.len()] != magic {
+        return Err(invalid("magic mismatch".to_owned()));
+    }
+    let (header, payload) = bytes.split_at(SEALED_HEADER);
+    let stored = u32::from_le_bytes(header[magic.len()..].try_into().expect("4 bytes"));
+    let actual = binary::crc32(payload);
+    if stored != actual {
+        return Err(invalid(format!(
+            "CRC mismatch: stored {stored:#010x}, actual {actual:#010x}"
+        )));
+    }
+    let mut cursor = Cursor::new(payload);
+    let value = decode(&mut cursor).map_err(|e| invalid(e.to_string()))?;
+    if !cursor.is_empty() {
+        return Err(invalid(format!(
+            "{} trailing bytes after the payload",
+            cursor.remaining()
+        )));
+    }
+    Ok(Some(value))
 }
 
 /// Which operation class a planned fault targets.
