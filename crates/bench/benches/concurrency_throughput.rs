@@ -1,24 +1,16 @@
 //! Concurrency scaling of the enforcement plane (Table IV, heavy-traffic
 //! extension): mixed legitimate/attack traffic replayed from 1, 4 and 8
-//! threads against
-//!
-//! * the **compiled** proxy — flat-arena validators, kind-indexed routing,
-//!   atomic statistics, sharded denial ring ([`EnforcementProxy`]); and
-//! * the **tree** baseline — the pre-refactor implementation with
-//!   tree-walking validation and mutex-guarded bookkeeping
-//!   ([`BaselineProxy`]),
-//!
-//! both in front of the sharded in-memory API server. For every cell the
-//! sustained requests/sec and the p99 per-request validation latency are
-//! reported; the acceptance criterion is that the compiled plane sustains
-//! strictly more requests/sec than the baseline at 8 threads.
+//! threads against the compiled proxy — flat-arena validators, kind-indexed
+//! routing, atomic statistics, sharded denial ring ([`EnforcementProxy`]) —
+//! in front of the sharded in-memory API server. For every thread count the
+//! sustained requests/sec and the p50/p99 per-request latency are reported.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use k8s_apiserver::ApiServer;
 use kf_bench::{replay_requests, validator_for};
 use kf_workloads::{Operator, ThroughputDriver, ThroughputReport};
-use kubefence::{BaselineProxy, EnforcementProxy, ValidatorSet};
+use kubefence::{EnforcementProxy, ValidatorSet};
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 const FULL_REQUESTS_PER_THREAD: usize = 2_000;
@@ -58,7 +50,7 @@ fn row(label: &str, report: &ThroughputReport) {
 }
 
 fn print_scaling_table() {
-    println!("\n=== Concurrency scaling: compiled admission plane vs tree + mutex baseline ===");
+    println!("\n=== Concurrency scaling: compiled admission plane ===");
     println!(
         "(mixed traffic from all {} operators: {} requests/pool, {} per thread)\n",
         Operator::ALL.len(),
@@ -68,29 +60,11 @@ fn print_scaling_table() {
         requests_per_thread()
     );
     let driver = ThroughputDriver::for_operators(&Operator::ALL);
-    let mut compiled_at_8 = 0.0f64;
-    let mut tree_at_8 = 0.0f64;
     for threads in THREAD_COUNTS {
         let compiled = EnforcementProxy::with_validators(server(), validators());
         let report = driver.run(&compiled, threads, requests_per_thread());
         row("compiled + atomic proxy", &report);
-        if threads == 8 {
-            compiled_at_8 = report.requests_per_sec();
-        }
-
-        let baseline = BaselineProxy::with_validators(server(), validators());
-        let report = driver.run(&baseline, threads, requests_per_thread());
-        row("tree + mutex baseline", &report);
-        if threads == 8 {
-            tree_at_8 = report.requests_per_sec();
-        }
-        println!();
     }
-    let speedup = compiled_at_8 / tree_at_8.max(1e-9);
-    println!(
-        "8-thread verdict: compiled {compiled_at_8:.0} req/s vs tree {tree_at_8:.0} req/s  ({speedup:.2}x)  {}",
-        if compiled_at_8 > tree_at_8 { "PASS" } else { "FAIL" }
-    );
 }
 
 fn bench(c: &mut Criterion) {

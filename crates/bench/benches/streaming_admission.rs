@@ -16,18 +16,15 @@
 //!
 //! Three traffic classes per format are replayed from 1, 4 and 8 threads:
 //!
-//! * **accept** — every operator's legitimate manifests (the common case:
-//!   the acceptance criterion is streaming ≥ tree at 8 threads here, for
-//!   both formats);
+//! * **accept** — every operator's legitimate manifests (the common case);
 //! * **deny-early** — the attack catalog's malicious manifests (the denial
 //!   is decided at the first fatal violation and the report comes from
-//!   matcher state; the acceptance criterion is streaming > tree here too,
-//!   now that denials no longer re-parse);
+//!   matcher state, without a re-parse);
 //! * **unparsable** — truncated/corrupted payloads (the stream rejects at
 //!   the defect; the tree path pays a full failed parse).
 //!
-//! A proxy-level run (EnforcementProxy vs BaselineProxy over a raw
-//! `ThroughputDriver` pool) closes the loop end-to-end. Passing `--smoke`
+//! A proxy-level run (the EnforcementProxy over a raw `ThroughputDriver`
+//! pool) closes the loop end-to-end. Passing `--smoke`
 //! (or `KF_BENCH_SMOKE=1`) runs a tiny fixed configuration so CI can
 //! execute the harness on every push.
 
@@ -39,7 +36,7 @@ use k8s_apiserver::ApiServer;
 use kf_attacks::AttackExecutor;
 use kf_bench::{replay_requests, validator_for};
 use kf_workloads::{DeploymentDriver, Operator, ThroughputDriver};
-use kubefence::{BaselineProxy, BodyFormat, EnforcementProxy, ValidatorSet};
+use kubefence::{BodyFormat, EnforcementProxy, ValidatorSet};
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 const FULL_REQUESTS_PER_THREAD: usize = 2_000;
@@ -160,8 +157,6 @@ fn print_scaling_table() {
             ("deny-early", deny_pool(format)),
             ("unparsable", unparsable_pool(format)),
         ];
-        let mut accept_stream_at_8 = 0.0f64;
-        let mut accept_tree_at_8 = 0.0f64;
         for (label, pool) in &pools {
             println!(
                 "\n--- {} {label} traffic ({} distinct payloads, {} requests/thread) ---",
@@ -181,27 +176,13 @@ fn print_scaling_table() {
                     format.name(),
                     stream_rps / tree_rps.max(1e-9)
                 );
-                if *label == "accept" && threads == 8 {
-                    accept_stream_at_8 = stream_rps;
-                    accept_tree_at_8 = tree_rps;
-                }
             }
         }
-        println!(
-            "\n8-thread {} accept verdict: streaming {accept_stream_at_8:.0} req/s vs tree {accept_tree_at_8:.0} req/s  ({:.2}x)  {}",
-            format.name(),
-            accept_stream_at_8 / accept_tree_at_8.max(1e-9),
-            if accept_stream_at_8 >= accept_tree_at_8 {
-                "PASS"
-            } else {
-                "FAIL"
-            }
-        );
     }
 }
 
 fn print_proxy_table() {
-    println!("\n=== End-to-end: raw traffic through the proxies (8 threads) ===");
+    println!("\n=== End-to-end: raw traffic through the proxy (8 threads) ===");
     let server = || {
         let mut server = ApiServer::new();
         for operator in Operator::ALL {
@@ -220,16 +201,6 @@ fn print_proxy_table() {
         let report = driver.run(&streaming, 8, requests_per_thread());
         println!(
             "{label} enforcement (streaming)      {:>12.0} req/s   p50 {:>9.1} µs   p99 {:>9.1} µs   ({} admitted / {} denied)",
-            report.requests_per_sec(),
-            report.p50.as_nanos() as f64 / 1e3,
-            report.p99.as_nanos() as f64 / 1e3,
-            report.admitted,
-            report.denied,
-        );
-        let baseline = BaselineProxy::with_validators(server(), validators());
-        let report = driver.run(&baseline, 8, requests_per_thread());
-        println!(
-            "{label} baseline (parse-then-tree)   {:>12.0} req/s   p50 {:>9.1} µs   p99 {:>9.1} µs   ({} admitted / {} denied)",
             report.requests_per_sec(),
             report.p50.as_nanos() as f64 / 1e3,
             report.p99.as_nanos() as f64 / 1e3,

@@ -1,6 +1,8 @@
 //! Watch fan-out at informer scale as a tracked artifact: push-notify
-//! delivery vs poll-based delivery at 100/1k/10k subscribers, both store
-//! backends, emitted as `BENCH_watchfanout.json`.
+//! delivery vs poll-based delivery at 100/1k/10k subscribers on the
+//! zero-copy store, emitted as `BENCH_watchfanout.json`. The committed
+//! artifact also keeps the `baseline` curves measured before the deep-clone
+//! store was deleted; a new full run writes the `zero-copy` curves only.
 //!
 //! This is the measurement behind the push-notify watch fabric (per-shard
 //! wake signals, bounded subscriber queues with same-object coalescing,
@@ -42,8 +44,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use k8s_apiserver::{
-    ApiRequest, ApiServer, BaselineStore, ObjectStore, RequestHandler, StoreBackend,
-    WatchDispatcher, WatchHub,
+    ApiRequest, ApiServer, ObjectStore, RequestHandler, WatchDispatcher, WatchHub,
 };
 use k8s_model::{K8sObject, ResourceKind};
 use kf_bench::{bench_tolerance, smoke_mode, BenchArtifact, CurvePoint, ScalingCurve};
@@ -176,8 +177,8 @@ fn percentile_us(samples: &mut [u64], pct: f64) -> f64 {
 /// The writer: streams `writes` upserts over the hot set on an absolute
 /// schedule (start + i×interval, no drift accumulation), stamping each
 /// assigned revision.
-fn run_writer<S: StoreBackend>(
-    store: &S,
+fn run_writer(
+    store: &ObjectStore,
     templates: &[K8sObject],
     writes: usize,
     interval: std::time::Duration,
@@ -196,7 +197,7 @@ fn run_writer<S: StoreBackend>(
 
 /// Push delivery: N dispatcher-registered subscriptions drained by
 /// [`DRAIN_THREADS`] collectors, events/s and sampled delivery latency.
-fn measure_push<S: StoreBackend>(server: &ApiServer<S>, subscribers: usize) -> CurvePoint {
+fn measure_push(server: &ApiServer, subscribers: usize) -> CurvePoint {
     let writes = writes_for(subscribers);
     let interval = write_interval(subscribers);
     let templates = hot_set();
@@ -287,7 +288,7 @@ fn measure_push<S: StoreBackend>(server: &ApiServer<S>, subscribers: usize) -> C
 /// Poll delivery: N cursors advanced by full watch requests, round-robined
 /// from [`DRAIN_THREADS`] pollers — every poll is a complete server
 /// round-trip whether or not events are pending.
-fn measure_poll<S: StoreBackend>(server: &ApiServer<S>, subscribers: usize) -> CurvePoint {
+fn measure_poll(server: &ApiServer, subscribers: usize) -> CurvePoint {
     let writes = writes_for(subscribers);
     let interval = write_interval(subscribers);
     let templates = hot_set();
@@ -356,9 +357,9 @@ fn measure_poll<S: StoreBackend>(server: &ApiServer<S>, subscribers: usize) -> C
     }
 }
 
-fn row(backend: &str, mix: &str, point: &CurvePoint) {
+fn row(mix: &str, point: &CurvePoint) {
     println!(
-        "{backend:<10} {mix:<5} {:>6} subs  {:>10.0} req/s  {:>11.0} events/s   p50 {:>10.1} µs   p99 {:>12.1} µs",
+        "{mix:<5} {:>6} subs  {:>10.0} req/s  {:>11.0} events/s   p50 {:>10.1} µs   p99 {:>12.1} µs",
         point.threads, point.req_per_sec, point.events_per_sec, point.p50_us, point.p99_us,
     );
 }
@@ -402,55 +403,38 @@ fn main() {
     );
 
     let mut artifact = BenchArtifact::new("watch_fanout", if smoke { "smoke" } else { "full" });
-    for backend in ["zero-copy", "baseline"] {
-        for mix in ["push", "poll"] {
-            println!("\n--- {backend} store, {mix} delivery ---");
-            let mut points = Vec::new();
-            for subscribers in tiers() {
-                let point = match (backend, mix) {
-                    ("zero-copy", "push") => measure_push(
-                        &ApiServer::with_store(ObjectStore::new()).with_admin(USER),
-                        subscribers,
-                    ),
-                    ("zero-copy", "poll") => measure_poll(
-                        &ApiServer::with_store(ObjectStore::new()).with_admin(USER),
-                        subscribers,
-                    ),
-                    ("baseline", "push") => measure_push(
-                        &ApiServer::with_store(BaselineStore::new()).with_admin(USER),
-                        subscribers,
-                    ),
-                    _ => measure_poll(
-                        &ApiServer::with_store(BaselineStore::new()).with_admin(USER),
-                        subscribers,
-                    ),
-                };
-                row(backend, mix, &point);
-                points.push(point);
-            }
-            artifact.curves.push(ScalingCurve {
-                backend: backend.to_owned(),
-                mix: mix.to_owned(),
-                axis: "subscribers".to_owned(),
-                points,
-            });
+    for mix in ["push", "poll"] {
+        println!("\n--- {mix} delivery ---");
+        let mut points = Vec::new();
+        for subscribers in tiers() {
+            let server = ApiServer::new().with_admin(USER);
+            let point = if mix == "push" {
+                measure_push(&server, subscribers)
+            } else {
+                measure_poll(&server, subscribers)
+            };
+            row(mix, &point);
+            points.push(point);
         }
+        artifact.curves.push(ScalingCurve {
+            backend: "zero-copy".to_owned(),
+            mix: mix.to_owned(),
+            axis: "subscribers".to_owned(),
+            points,
+        });
     }
 
-    // Push-vs-poll contrast per backend and tier, for the human table.
+    // Push-vs-poll contrast per tier, for the human table.
     println!();
-    for backend in ["zero-copy", "baseline"] {
-        let push = artifact.curve(backend, "push").expect("measured");
-        let poll = artifact.curve(backend, "poll").expect("measured");
-        for (p, q) in push.points.iter().zip(&poll.points) {
-            println!(
-                "{:<10} {:>6} subs  {:>7.2}x events/s  {:>8.2}x better p99 (push vs poll)",
-                backend,
-                p.threads,
-                p.events_per_sec / q.events_per_sec.max(1e-9),
-                q.p99_us / p.p99_us.max(1e-9),
-            );
-        }
+    let push = artifact.curve("zero-copy", "push").expect("measured");
+    let poll = artifact.curve("zero-copy", "poll").expect("measured");
+    for (p, q) in push.points.iter().zip(&poll.points) {
+        println!(
+            "{:>6} subs  {:>7.2}x events/s  {:>8.2}x better p99 (push vs poll)",
+            p.threads,
+            p.events_per_sec / q.events_per_sec.max(1e-9),
+            q.p99_us / p.p99_us.max(1e-9),
+        );
     }
 
     let out = output_path(smoke);

@@ -1,48 +1,37 @@
-//! Watch-driven reconcile vs poll-list reconcile, end-to-end through the
-//! full API server (RBAC → admission → store+journal → audit).
+//! Watch-driven reconcile end-to-end through the full API server
+//! (RBAC → admission → store+journal → audit).
 //!
-//! PR 4 made reads zero-copy; this benchmark measures the watch plane that
-//! followed: `Verb::Watch` is a real incremental event stream over store
-//! revisions, so an informer that has seeded its cache pays only for the
-//! deltas since its cursor — while the pre-watch-plane discipline re-lists
-//! the whole collection (and rebuilds its cache) on every reconcile tick.
+//! `Verb::Watch` is a real incremental event stream over store revisions,
+//! so an informer that has seeded its cache pays only for the deltas since
+//! its cursor.
 //!
 //! The [`kf_workloads::InformerDriver`] replays the `WATCH_HEAVY` mix
 //! (2 creates : 1 get : 1 list : 12 reconcile ticks per cycle) from 1, 4
-//! and 8 threads against both persistence planes:
-//!
-//! * **zero-copy** ([`k8s_apiserver::ObjectStore`]) — delivered events share
-//!   the stored trees (`Arc` handles, no per-subscriber copies);
-//! * **baseline** ([`k8s_apiserver::BaselineStore`]) — the same journal
-//!   mechanics, but every delivered event deep-clones its tree and every
-//!   list deep-clones its items.
-//!
-//! Both strategies face identical background churn; the measured delta is
-//! purely how caches stay fresh. Every user is subject to a learned RBAC
+//! and 8 threads against [`k8s_apiserver::ObjectStore`], whose delivered
+//! events share the stored trees. Every user is subject to a learned RBAC
 //! policy (audit2rbac over an attack-free replay **including watch
 //! traffic**), so the hardened surface genuinely covers the watch verb.
-//! The acceptance criterion is watch-delta ≥ 1.3x poll-list req/s at 4+
-//! threads on the zero-copy store. Passing `--smoke` (or `KF_BENCH_SMOKE=1`)
-//! runs a tiny fixed configuration so CI can execute the harness per push.
+//! Passing `--smoke` (or `KF_BENCH_SMOKE=1`) runs a tiny fixed
+//! configuration so CI can execute the harness per push.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use k8s_apiserver::{ApiServer, BaselineStore, ObjectStore, RequestHandler, StoreBackend};
+use k8s_apiserver::{ApiServer, RequestHandler};
 use k8s_rbac::{audit2rbac, Audit2RbacOptions, RbacPolicySet};
 use kf_bench::replay_requests;
-use kf_workloads::{InformerDriver, MixRatio, Operator, ReconcileReport, ReconcileStrategy};
+use kf_workloads::{InformerDriver, MixRatio, Operator, ReconcileReport};
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 const FULL_CYCLES_PER_THREAD: usize = 120;
 
 /// Collection scale: every chart object replicated this many times, so a
 /// watched collection holds tens of objects — the populated-cluster regime
-/// where per-tick re-listing visibly loses to delta streaming.
+/// where delta streaming pays off.
 const COLLECTION_SCALE: usize = 24;
 
 fn cycles_per_thread() -> usize {
     // Reuse the shared smoke scaling; cycles are ~16 requests each, so the
-    // full run replays ~2k requests per thread per strategy.
+    // full run replays ~2k requests per thread.
     replay_requests(FULL_CYCLES_PER_THREAD)
 }
 
@@ -82,14 +71,10 @@ fn learned_policy(driver: &InformerDriver) -> RbacPolicySet {
     merged
 }
 
-/// A server over `store`, guarded by the learned policy and pre-seeded so
-/// reconciles and reads hit a populated collection from the first tick.
-fn prepared_server<S: StoreBackend>(
-    store: S,
-    policy: &RbacPolicySet,
-    driver: &InformerDriver,
-) -> ApiServer<S> {
-    let server = ApiServer::with_store(store);
+/// A server guarded by the learned policy and pre-seeded so reconciles and
+/// reads hit a populated collection from the first tick.
+fn prepared_server(policy: &RbacPolicySet, driver: &InformerDriver) -> ApiServer {
+    let server = ApiServer::new();
     driver.seed(&server);
     server.set_rbac_policy(Some(policy.clone()));
     server
@@ -111,52 +96,22 @@ fn print_scaling_table() {
     let mix = MixRatio::WATCH_HEAVY;
     let driver = InformerDriver::with_scale(&Operator::ALL, mix, COLLECTION_SCALE);
     let policy = learned_policy(&driver);
-    println!("\n=== Watch throughput: watch-driven reconcile vs poll-list reconcile ===");
+    println!("\n=== Watch throughput: watch-driven reconcile ===");
     println!(
         "({} mix over {} watched collections at scale {COLLECTION_SCALE}; {} cycles/thread; full server per request)",
         mix.label(),
         driver.targets().len(),
         cycles_per_thread()
     );
-    let mut worst_speedup_at_4_plus = f64::INFINITY;
-    for (store_label, baseline_store) in [("zero-copy", false), ("baseline", true)] {
-        println!("\n--- {store_label} store ---");
-        for threads in THREAD_COUNTS {
-            let reports: Vec<ReconcileReport> =
-                [ReconcileStrategy::PollList, ReconcileStrategy::WatchDelta]
-                    .into_iter()
-                    .map(|strategy| {
-                        if baseline_store {
-                            let server = prepared_server(BaselineStore::new(), &policy, &driver);
-                            driver.run(&server, threads, cycles_per_thread(), strategy)
-                        } else {
-                            let server = prepared_server(ObjectStore::new(), &policy, &driver);
-                            driver.run(&server, threads, cycles_per_thread(), strategy)
-                        }
-                    })
-                    .collect();
-            let (poll, watch) = (&reports[0], &reports[1]);
-            assert!(
-                watch.cached_objects > 0 && poll.cached_objects > 0,
-                "reconciles must converge to live caches"
-            );
-            row(&format!("poll-list/{store_label}"), poll);
-            row(&format!("watch-delta/{store_label}"), watch);
-            let speedup = watch.requests_per_sec() / poll.requests_per_sec().max(1e-9);
-            println!("{:<28} {threads:>2} threads  {speedup:>11.2}x", "speedup");
-            if threads >= 4 && !baseline_store {
-                worst_speedup_at_4_plus = worst_speedup_at_4_plus.min(speedup);
-            }
-        }
+    for threads in THREAD_COUNTS {
+        let server = prepared_server(&policy, &driver);
+        let report = driver.run(&server, threads, cycles_per_thread());
+        assert!(
+            report.cached_objects > 0,
+            "reconciles must converge to live caches"
+        );
+        row("watch-delta/zero-copy", &report);
     }
-    println!(
-        "\nworst zero-copy speedup at 4+ threads: {worst_speedup_at_4_plus:.2}x  (acceptance: >= 1.3x)  {}",
-        if worst_speedup_at_4_plus >= 1.3 {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
 }
 
 fn bench(c: &mut Criterion) {
@@ -166,22 +121,16 @@ fn bench(c: &mut Criterion) {
         // events/s; the criterion micro-loops are skipped to keep CI fast.
         return;
     }
-    // Criterion-tracked single-tick latency of the two reconcile
-    // disciplines over the zero-copy store, so regressions show up
+    // Criterion-tracked reconcile latency, so regressions show up
     // per-iteration as well.
     let driver =
         InformerDriver::with_scale(&Operator::ALL, MixRatio::WATCH_HEAVY, COLLECTION_SCALE);
     let policy = learned_policy(&driver);
     let mut group = c.benchmark_group("watch_throughput");
-    for (name, strategy) in [
-        ("reconcile_watch_delta", ReconcileStrategy::WatchDelta),
-        ("reconcile_poll_list", ReconcileStrategy::PollList),
-    ] {
-        let server = prepared_server(ObjectStore::new(), &policy, &driver);
-        group.bench_function(name, |b| {
-            b.iter(|| criterion::black_box(driver.run(&server, 1, 4, strategy).total_requests))
-        });
-    }
+    let server = prepared_server(&policy, &driver);
+    group.bench_function("reconcile_watch_delta", |b| {
+        b.iter(|| criterion::black_box(driver.run(&server, 1, 4).total_requests))
+    });
     group.finish();
 }
 

@@ -1,5 +1,5 @@
 //! Write-path multicore scaling as a tracked artifact: per-thread curves
-//! (req/s, events/s, p50/p99) for both store backends under the write-heavy
+//! (req/s, events/s, p50/p99) for the zero-copy store under the write-heavy
 //! mix, emitted as `BENCH_writepath.json`.
 //!
 //! This is the measurement behind the write-path scale-out (namespace-
@@ -7,10 +7,11 @@
 //! : 1 get : 1 list) drives every create through RBAC → admission → store →
 //! journal → audit, so the journal critical section is on the hot path of
 //! 80% of the traffic. The bench replays the mix at 1/4/8 threads over the
-//! zero-copy [`k8s_apiserver::ObjectStore`] and the deep-clone
-//! [`k8s_apiserver::BaselineStore`], records sustained req/s, published
-//! journal events/s and the p50/p99 `handle` latency, and writes the
-//! curves as a schema-stamped JSON artifact.
+//! zero-copy [`k8s_apiserver::ObjectStore`], records sustained req/s,
+//! published journal events/s and the p50/p99 `handle` latency, and writes
+//! the curve as a schema-stamped JSON artifact. The committed artifact also
+//! keeps the `baseline` curve measured before the deep-clone store was
+//! deleted; a new full run writes the `zero-copy` curve only.
 //!
 //! Invocations:
 //!
@@ -27,10 +28,6 @@
 //!   `KF_BENCH_TOLERANCE` percent (default 10) are reported but not
 //!   flagged, so single-core run-to-run drift doesn't read as regression.
 //! * `KF_BENCH_JSON_OUT=<path>` — override the output path in any mode.
-//! * `KF_JOURNAL_SHARDS=<n>` — build the zero-copy store with `n` journal
-//!   sub-shards instead of the default; `KF_JOURNAL_SHARDS=1` reproduces
-//!   the pre-sharding (one lock per kind) journal for a same-binary A/B of
-//!   the scale-out itself.
 //!
 //! Stores are pre-populated through the batched bulk-load path
 //! (`ThroughputDriver::seed_store` → `StoreBackend::apply_batch`), which is
@@ -38,9 +35,7 @@
 
 use std::path::PathBuf;
 
-use k8s_apiserver::{
-    ApiServer, BaselineStore, ObjectStore, StoreBackend, DEFAULT_JOURNAL_CAPACITY,
-};
+use k8s_apiserver::{ApiServer, ObjectStore};
 use k8s_rbac::RbacPolicySet;
 use kf_bench::{
     learned_mixed_policy, replay_requests, smoke_mode, BenchArtifact, CurvePoint, ScalingCurve,
@@ -50,25 +45,10 @@ use kf_workloads::{MixRatio, Operator, ThroughputDriver};
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 const FULL_REQUESTS_PER_THREAD: usize = 2_000;
 
-/// The measured zero-copy store, honoring the `KF_JOURNAL_SHARDS` A/B knob.
-fn zero_copy_store() -> ObjectStore {
-    match std::env::var("KF_JOURNAL_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(shards) => ObjectStore::with_journal_config(DEFAULT_JOURNAL_CAPACITY, shards),
-        None => ObjectStore::new(),
-    }
-}
-
-/// One (backend, threads) measurement: replay the pool, derive events/s
-/// from the journal revision delta over the run's wall clock.
-fn measure<S: StoreBackend>(
-    store: S,
-    policy: &RbacPolicySet,
-    driver: &ThroughputDriver,
-    threads: usize,
-) -> CurvePoint {
+/// One thread-count measurement: replay the pool, derive events/s from the
+/// journal revision delta over the run's wall clock.
+fn measure(policy: &RbacPolicySet, driver: &ThroughputDriver, threads: usize) -> CurvePoint {
+    let store = ObjectStore::new();
     driver.seed_store(&store);
     let server = ApiServer::with_store(store);
     server.set_rbac_policy(Some(policy.clone()));
@@ -137,38 +117,19 @@ fn main() {
 
     let mut artifact =
         BenchArtifact::new("writepath_scaling", if smoke { "smoke" } else { "full" });
-    for backend in ["zero-copy", "baseline"] {
-        println!("\n--- {backend} store ---");
-        let mut points = Vec::new();
-        for threads in THREAD_COUNTS {
-            let point = if backend == "zero-copy" {
-                measure(zero_copy_store(), &policy, &driver, threads)
-            } else {
-                measure(BaselineStore::new(), &policy, &driver, threads)
-            };
-            row(backend, &point);
-            points.push(point);
-        }
-        artifact.curves.push(ScalingCurve {
-            backend: backend.to_owned(),
-            mix: mix.label(),
-            axis: ScalingCurve::DEFAULT_AXIS.to_owned(),
-            points,
-        });
-    }
-
-    // Cross-backend speedup at each thread count, for the human table.
-    let zero_copy = artifact.curve("zero-copy", &mix.label()).expect("measured");
-    let baseline = artifact.curve("baseline", &mix.label()).expect("measured");
     println!();
-    for (zc, base) in zero_copy.points.iter().zip(&baseline.points) {
-        println!(
-            "{:<10} {:>2} threads  {:>11.2}x zero-copy vs baseline",
-            "speedup",
-            zc.threads,
-            zc.req_per_sec / base.req_per_sec.max(1e-9)
-        );
+    let mut points = Vec::new();
+    for threads in THREAD_COUNTS {
+        let point = measure(&policy, &driver, threads);
+        row("zero-copy", &point);
+        points.push(point);
     }
+    artifact.curves.push(ScalingCurve {
+        backend: "zero-copy".to_owned(),
+        mix: mix.label(),
+        axis: ScalingCurve::DEFAULT_AXIS.to_owned(),
+        points,
+    });
 
     let out = output_path(smoke);
     if let Some(parent) = out.parent() {

@@ -60,7 +60,8 @@ pub struct CurvePoint {
 /// A per-scale curve for one (backend, mix) pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalingCurve {
-    /// Store backend label (`zero-copy` / `baseline`).
+    /// Store backend label (`zero-copy`; committed artifacts also keep
+    /// their historical `baseline` curves).
     pub backend: String,
     /// Mix label (`kf_workloads::MixRatio::label`, e.g. `c8:g1:l1`).
     pub mix: String,
@@ -464,7 +465,7 @@ mod tests {
 
     /// The tracked-artifact gate for the push-notify watch fabric: the
     /// committed `BENCH_watchfanout.json` must exist, be current, cover
-    /// push and poll delivery on both store backends at the standard
+    /// push and poll delivery on the zero-copy store at the standard
     /// subscriber counts, and show the fabric earning its keep — at 1k
     /// subscribers on the zero-copy backend, push delivery must sustain
     /// ≥ 2x poll events/s or ≥ 5x better p99 delivery latency.
@@ -477,18 +478,16 @@ mod tests {
             .validate_committed()
             .expect("committed artifact must be current — regenerate: cargo bench -p kf-bench --bench watch_fanout");
         assert_eq!(artifact.bench, "watch_fanout");
-        for backend in ["zero-copy", "baseline"] {
-            for mix in ["push", "poll"] {
-                let curve = artifact
-                    .curve(backend, mix)
-                    .unwrap_or_else(|| panic!("missing {backend}/{mix} fan-out curve"));
-                let subs: Vec<usize> = curve.points.iter().map(|p| p.threads).collect();
-                assert_eq!(subs, vec![100, 1000, 10000], "standard subscriber counts");
-                assert!(curve.points.iter().all(|p| p.req_per_sec > 0.0
-                    && p.events_per_sec > 0.0
-                    && p.p50_us > 0.0
-                    && p.p99_us >= p.p50_us));
-            }
+        for mix in ["push", "poll"] {
+            let curve = artifact
+                .curve("zero-copy", mix)
+                .unwrap_or_else(|| panic!("missing zero-copy/{mix} fan-out curve"));
+            let subs: Vec<usize> = curve.points.iter().map(|p| p.threads).collect();
+            assert_eq!(subs, vec![100, 1000, 10000], "standard subscriber counts");
+            assert!(curve.points.iter().all(|p| p.req_per_sec > 0.0
+                && p.events_per_sec > 0.0
+                && p.p50_us > 0.0
+                && p.p99_us >= p.p50_us));
         }
         let at = |mix: &str| {
             artifact
@@ -651,7 +650,7 @@ mod tests {
 
     /// The tracked-artifact gate: the committed `BENCH_writepath.json` at
     /// the repo root must exist, parse, carry the current schema version,
-    /// come from a full run, and cover both store backends at the standard
+    /// come from a full run, and cover the zero-copy store at the standard
     /// thread counts. Runs in tier-1 *and* as the CI parity job's
     /// staleness-check step.
     #[test]
@@ -663,16 +662,14 @@ mod tests {
             .validate_committed()
             .expect("committed artifact must be current — regenerate: cargo bench -p kf-bench --bench writepath_scaling");
         assert_eq!(artifact.bench, "writepath_scaling");
-        for backend in ["zero-copy", "baseline"] {
-            let curve = artifact
-                .curve(backend, "c8:g1:l1")
-                .unwrap_or_else(|| panic!("missing {backend} write-heavy curve"));
-            let threads: Vec<usize> = curve.points.iter().map(|p| p.threads).collect();
-            assert_eq!(threads, vec![1, 4, 8], "standard thread counts");
-            assert!(curve.points.iter().all(|p| p.req_per_sec > 0.0
-                && p.events_per_sec > 0.0
-                && p.p50_us > 0.0
-                && p.p99_us >= p.p50_us));
-        }
+        let curve = artifact
+            .curve("zero-copy", "c8:g1:l1")
+            .expect("missing zero-copy write-heavy curve");
+        let threads: Vec<usize> = curve.points.iter().map(|p| p.threads).collect();
+        assert_eq!(threads, vec![1, 4, 8], "standard thread counts");
+        assert!(curve.points.iter().all(|p| p.req_per_sec > 0.0
+            && p.events_per_sec > 0.0
+            && p.p50_us > 0.0
+            && p.p99_us >= p.p50_us));
     }
 }

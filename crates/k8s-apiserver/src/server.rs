@@ -14,7 +14,7 @@ use kf_yaml::Value;
 use crate::health::{AdmissionGate, DegradePolicy, HealthReport};
 use crate::persist::{DurabilityState, Persistence};
 use crate::request::{ApiRequest, ApiResponse, ResponseBody, ResponseStatus};
-use crate::store::{BaselineStore, ObjectStore, StoreBackend};
+use crate::store::{ObjectStore, StoreBackend};
 use crate::vuln::VulnerabilityOracle;
 
 /// Anything that can serve API requests. The KubeFence proxy implements this
@@ -52,11 +52,10 @@ pub struct ExploitEvent {
 /// server behaves like the paper's baseline cluster before hardening: every
 /// authenticated request is authorized.
 ///
-/// The server is generic over its persistence plane: the default
+/// The server is generic over its persistence plane ([`StoreBackend`]) so a
+/// wrapping store can run the identical request logic; the default
 /// [`ObjectStore`] shares one `Arc<Value>` per object from admission through
-/// storage, audit and reads, while [`ApiServer::baseline`] runs the same
-/// request logic over the pre-refactor deep-cloning [`BaselineStore`] so the
-/// `server_throughput` benchmark can measure the difference.
+/// storage, audit and reads.
 #[derive(Debug)]
 pub struct ApiServer<S: StoreBackend = ObjectStore> {
     store: S,
@@ -192,16 +191,6 @@ impl ApiServer {
     ) -> std::io::Result<(Self, Persistence, crate::persist::RecoveryReport)> {
         let (store, persistence, report) = Persistence::open(config)?;
         Ok((Self::with_store(store), persistence, report))
-    }
-}
-
-impl ApiServer<BaselineStore> {
-    /// A server over the pre-refactor deep-cloning [`BaselineStore`]: the
-    /// measurement baseline for the zero-copy persistence plane. Request
-    /// handling is the identical code path — only the store's copy
-    /// discipline differs.
-    pub fn baseline() -> Self {
-        Self::with_store(BaselineStore::new())
     }
 }
 
@@ -399,8 +388,7 @@ impl<S: StoreBackend> ApiServer<S> {
             }
             Ok(Some(body)) => body,
         };
-        // The store decides the materialization discipline: the zero-copy
-        // plane shares the request's tree, the baseline deep-clones it.
+        // The stored object shares the request's tree.
         let mut object = self.store.ingest(body).map_err(|e| {
             ApiResponse::error(ResponseStatus::BadRequest, format!("invalid object: {e}"))
         })?;
@@ -1154,37 +1142,44 @@ mod tests {
     }
 
     #[test]
-    fn baseline_server_reaches_identical_responses_with_detached_trees() {
-        let zero_copy = ApiServer::new();
-        let baseline = ApiServer::baseline();
+    fn lifecycle_responses_share_the_created_tree() {
+        let server = ApiServer::new();
         let pod = K8sObject::from_yaml(
             "apiVersion: v1\nkind: Pod\nmetadata:\n  name: web\n  namespace: default\nspec:\n  containers:\n    - name: c\n      image: nginx\n",
         )
         .unwrap();
         let create = ApiRequest::create("admin", &pod);
         let tree = Arc::clone(create.body.tree().unwrap());
+        assert_eq!(server.handle(&create).status, ResponseStatus::Created);
+        let get = server.handle(&ApiRequest::get(
+            "admin",
+            ResourceKind::Pod,
+            "default",
+            "web",
+        ));
+        assert_eq!(get.status, ResponseStatus::Ok);
+        assert!(Arc::ptr_eq(get.body.unwrap().object().unwrap(), &tree));
+        let list = server.handle(&ApiRequest::list("admin", ResourceKind::Pod, "default"));
+        assert_eq!(list.status, ResponseStatus::Ok);
+        let items = list.body.unwrap();
+        let items = items.items().unwrap();
+        assert_eq!(items.len(), 1);
+        assert!(Arc::ptr_eq(&items[0], &tree));
         assert_eq!(
-            zero_copy.handle(&create).status,
-            baseline.handle(&create).status
+            server.handle(&ApiRequest::update("admin", &pod)).status,
+            ResponseStatus::Ok
         );
-        for request in [
-            ApiRequest::get("admin", ResourceKind::Pod, "default", "web"),
-            ApiRequest::list("admin", ResourceKind::Pod, "default"),
-            ApiRequest::update("admin", &pod),
-            ApiRequest::delete("admin", ResourceKind::Pod, "default", "web"),
-        ] {
-            let a = zero_copy.handle(&request);
-            let b = baseline.handle(&request);
-            assert_eq!(a.status, b.status, "diverged on {}", request.path());
-            assert_eq!(a.body, b.body, "bodies diverged on {}", request.path());
-        }
-        // …but the baseline's stored tree is a detached copy, per the old
-        // materialization discipline.
-        assert!(baseline.handle(&create).is_success());
-        let stored = baseline
-            .store()
-            .get(ResourceKind::Pod, "default", "web")
-            .unwrap();
-        assert!(!Arc::ptr_eq(stored.object.shared_body(), &tree));
+        assert_eq!(
+            server
+                .handle(&ApiRequest::delete(
+                    "admin",
+                    ResourceKind::Pod,
+                    "default",
+                    "web"
+                ))
+                .status,
+            ResponseStatus::Ok
+        );
+        assert!(server.store().is_empty());
     }
 }

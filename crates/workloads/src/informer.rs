@@ -4,22 +4,20 @@
 //! cache seeded by one initial list and then apply incremental watch
 //! deltas, exactly the traffic shape the paper's workload characterization
 //! attributes to the dominant share of API-server load. This module models
-//! both reconcile disciplines against any [`RequestHandler`]:
+//! that discipline against any [`RequestHandler`]:
 //!
-//! * [`Informer::sync`] — **watch-driven**: the first tick issues an
+//! * [`Informer::sync`] — **watch-driven pull**: the first tick issues an
 //!   initial watch (`resourceVersion` absent — list + cursor), every
 //!   subsequent tick resumes from the cursor and applies only the deltas;
 //!   a `410 Gone` (journal compacted past the cursor) falls back to one
 //!   re-list and resumes cleanly.
-//! * [`Informer::sync_by_list`] — **poll-list**: the pre-watch-plane
-//!   discipline; every tick lists the whole collection and rebuilds the
-//!   cache from scratch.
+//! * [`PushInformer`] — **push**: one initial list, then deltas fanned into
+//!   a subscriber queue by the store's publication critical section.
 //!
 //! [`InformerDriver`] replays a [`MixRatio`] whose `watch` slots are
 //! reconcile ticks (one informer per watched collection, per thread) and
 //! whose create/get/list slots are background churn, from M threads — the
-//! harness behind the `watch_throughput` benchmark comparing the two
-//! disciplines over both store backends.
+//! harness behind the `watch_throughput` benchmark.
 
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -38,28 +36,6 @@ use kf_yaml::Value;
 
 use crate::throughput::{MixRatio, OperatorPools};
 use crate::Operator;
-
-/// How an informer keeps its cache fresh — the measured axis of the
-/// `watch_throughput` benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReconcileStrategy {
-    /// Re-list the whole collection every tick and rebuild the cache (the
-    /// pre-watch-plane discipline).
-    PollList,
-    /// Seed once from an initial watch, then apply incremental deltas from
-    /// the revision cursor.
-    WatchDelta,
-}
-
-impl ReconcileStrategy {
-    /// A short label for bench tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ReconcileStrategy::PollList => "poll-list",
-            ReconcileStrategy::WatchDelta => "watch-delta",
-        }
-    }
-}
 
 /// A local object cache over one watched collection (kind + namespace),
 /// reconciled through a [`RequestHandler`] as one authenticated user — the
@@ -106,8 +82,7 @@ impl Informer {
         self.cache.len()
     }
 
-    /// Cache mutations applied so far (seeds + deltas, or list rebuild
-    /// inserts under [`Informer::sync_by_list`]).
+    /// Cache mutations applied so far (seeds + deltas).
     pub fn events_applied(&self) -> u64 {
         self.events_applied
     }
@@ -148,39 +123,6 @@ impl Informer {
             self.apply(event);
         }
         self.cursor = Some(cursor);
-        1
-    }
-
-    /// One poll-list reconcile tick: list the collection and rebuild the
-    /// cache from the returned items (keys parsed out of each tree —
-    /// exactly the per-tick work the watch plane avoids). Returns the
-    /// number of requests issued (always 1).
-    pub fn sync_by_list<H: RequestHandler>(&mut self, handler: &H) -> u64 {
-        let request = ApiRequest::list(&self.user, self.kind, &self.namespace);
-        let response = handler.handle(&request);
-        self.relists += 1;
-        let Some(body) = &response.body else {
-            return 1;
-        };
-        let Some(items) = body.items() else {
-            return 1;
-        };
-        self.cache.clear();
-        for item in items {
-            let metadata = item.get("metadata");
-            let name = metadata
-                .and_then(|m| m.get("name"))
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_owned();
-            let namespace = metadata
-                .and_then(|m| m.get("namespace"))
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_owned();
-            self.cache.insert((namespace, name), Arc::clone(item));
-            self.events_applied += 1;
-        }
         1
     }
 
@@ -502,8 +444,6 @@ impl PushInformer {
 /// Measurements of one [`InformerDriver::run`].
 #[derive(Debug, Clone)]
 pub struct ReconcileReport {
-    /// Reconcile strategy that produced the numbers.
-    pub strategy: ReconcileStrategy,
     /// Number of replay threads.
     pub threads: usize,
     /// Requests issued across all threads (background churn + reconcile
@@ -536,8 +476,7 @@ impl ReconcileReport {
 /// Replays a [`MixRatio`] where the `watch` slots are informer reconcile
 /// ticks: each thread owns one informer per watched collection and
 /// interleaves background churn (create/get/list, from a deterministic
-/// pool) with reconciles, so the two strategies face identical write
-/// traffic and differ only in how caches stay fresh.
+/// pool) with reconciles, so every run faces identical write traffic.
 ///
 /// The driver can **scale** the collections: with a scale of `n`, every
 /// chart object is replicated `n` times under suffixed names (`web`,
@@ -567,9 +506,9 @@ impl InformerDriver {
     /// times under suffixed names.
     pub fn with_scale(operators: &[Operator], mix: MixRatio, scale: usize) -> Self {
         assert!(mix.watch > 0, "the informer driver reconciles watch slots");
-        // The same pool builder the mixed throughput pools use, so both
-        // strategies face the identical deterministic background churn —
-        // just without the watch slots, which become reconcile ticks here.
+        // The same pool builder the mixed throughput pools use, so runs
+        // face the identical deterministic background churn — just without
+        // the watch slots, which become reconcile ticks here.
         let pools = OperatorPools::gather(operators, scale);
         let background = pools.interleave(MixRatio { watch: 0, ..mix });
         assert!(
@@ -606,14 +545,8 @@ impl InformerDriver {
     /// Replay `cycles_per_thread` mix cycles from each of `threads`
     /// threads: per cycle, the background slots issue the next pool
     /// requests and every `watch` slot runs one reconcile tick on the
-    /// thread's informers (round-robin across targets), under `strategy`.
-    pub fn run<H>(
-        &self,
-        handler: &H,
-        threads: usize,
-        cycles_per_thread: usize,
-        strategy: ReconcileStrategy,
-    ) -> ReconcileReport
+    /// thread's informers (round-robin across targets).
+    pub fn run<H>(&self, handler: &H, threads: usize, cycles_per_thread: usize) -> ReconcileReport
     where
         H: RequestHandler + Sync,
     {
@@ -644,11 +577,7 @@ impl InformerDriver {
                             }
                             for _ in 0..self.mix.watch {
                                 let index = target % informers.len();
-                                let informer = &mut informers[index];
-                                requests += match strategy {
-                                    ReconcileStrategy::PollList => informer.sync_by_list(handler),
-                                    ReconcileStrategy::WatchDelta => informer.sync(handler),
-                                };
+                                requests += informers[index].sync(handler);
                                 ticks += 1;
                                 target += 1;
                             }
@@ -667,7 +596,6 @@ impl InformerDriver {
         });
         let elapsed = started.elapsed();
         let mut report = ReconcileReport {
-            strategy,
             threads,
             total_requests: 0,
             reconcile_ticks: 0,
@@ -755,35 +683,6 @@ mod tests {
         ));
         assert_eq!(informer.sync(&server), 1);
         assert_eq!(informer.cache_len(), 4);
-    }
-
-    #[test]
-    fn poll_list_reconciles_to_the_same_cache() {
-        let server = ApiServer::new();
-        for name in ["a", "b"] {
-            server.handle(&ApiRequest::create("admin", &pod(name)));
-        }
-        let mut watcher = Informer::new("admin", ResourceKind::Pod, "default");
-        let mut poller = Informer::new("admin", ResourceKind::Pod, "default");
-        watcher.sync(&server);
-        poller.sync_by_list(&server);
-        assert_eq!(
-            watcher.cache().keys().collect::<Vec<_>>(),
-            poller.cache().keys().collect::<Vec<_>>()
-        );
-        server.handle(&ApiRequest::delete(
-            "admin",
-            ResourceKind::Pod,
-            "default",
-            "a",
-        ));
-        watcher.sync(&server);
-        poller.sync_by_list(&server);
-        assert_eq!(
-            watcher.cache().keys().collect::<Vec<_>>(),
-            poller.cache().keys().collect::<Vec<_>>()
-        );
-        assert!(poller.relists() > watcher.relists());
     }
 
     #[test]
@@ -886,19 +785,17 @@ mod tests {
     fn the_driver_reconciles_both_strategies_to_live_caches() {
         let driver = InformerDriver::new(&[Operator::Nginx], MixRatio::WATCH_HEAVY);
         assert!(!driver.targets().is_empty());
-        for strategy in [ReconcileStrategy::PollList, ReconcileStrategy::WatchDelta] {
-            let server = ApiServer::new().with_admin(&Operator::Nginx.user());
-            driver.seed(&server);
-            let report = driver.run(&server, 2, 6, strategy);
-            assert_eq!(report.threads, 2);
-            assert_eq!(
-                report.reconcile_ticks,
-                2 * 6 * MixRatio::WATCH_HEAVY.watch as u64
-            );
-            assert!(report.events_applied > 0, "{strategy:?} applied no events");
-            assert!(report.cached_objects > 0);
-            assert!(report.requests_per_sec() > 0.0);
-            assert!(report.events_per_sec() > 0.0);
-        }
+        let server = ApiServer::new().with_admin(&Operator::Nginx.user());
+        driver.seed(&server);
+        let report = driver.run(&server, 2, 6);
+        assert_eq!(report.threads, 2);
+        assert_eq!(
+            report.reconcile_ticks,
+            2 * 6 * MixRatio::WATCH_HEAVY.watch as u64
+        );
+        assert!(report.events_applied > 0, "the driver applied no events");
+        assert!(report.cached_objects > 0);
+        assert!(report.requests_per_sec() > 0.0);
+        assert!(report.events_per_sec() > 0.0);
     }
 }

@@ -39,8 +39,7 @@ mod throughput;
 pub use chaos::{ChaosDriver, ChaosOutcome, ChaosReport};
 pub use driver::{DeploymentDriver, DeploymentOutcome};
 pub use informer::{
-    Informer, InformerDriver, PushInformer, ReconcileReport, ReconcileStrategy, RelistGate,
-    RelistPermit,
+    Informer, InformerDriver, PushInformer, ReconcileReport, RelistGate, RelistPermit,
 };
 pub use operator::{Operator, OperatorWorkload};
 pub use recovery::{RecoveryDriver, ReplayVerdict};

@@ -4,11 +4,11 @@
 //! deployment round trips. The [`ThroughputDriver`] extends that to the
 //! ROADMAP's heavy-traffic regime: a fixed, reproducible pool of mixed
 //! legitimate and attack requests is replayed concurrently from M threads
-//! against a handler (the bare API server, the KubeFence proxy, or the
-//! mutex-baseline proxy), recording sustained requests/sec and the latency
-//! distribution of `handle` calls. The concurrency benchmark
-//! (`crates/bench/benches/concurrency_throughput.rs`) uses this to quantify
-//! the compiled admission plane against the tree-walking baseline.
+//! against a handler (the bare API server or the KubeFence proxy),
+//! recording sustained requests/sec and the latency distribution of
+//! `handle` calls. The concurrency benchmark
+//! (`crates/bench/benches/concurrency_throughput.rs`) uses this to measure
+//! the compiled admission plane's scaling.
 
 use std::time::{Duration, Instant};
 
